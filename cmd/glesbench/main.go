@@ -9,13 +9,7 @@
 //	glesbench -fig 3        # one figure: 3, vbo, 4a, 4b, 5a, 5b
 //	glesbench -size 1024    # matrix dimension of the timing runs
 //	glesbench -iters 100    # repetitions per configuration
-//	glesbench -nojit        # reference interpreter instead of the compiled engine
 //	glesbench -nopasses     # disable the host shader optimisation passes
-//	glesbench -notile       # band shading instead of the tile-binned engine
-//	glesbench -tilesize 16  # tile edge length of the tiled engine
-//	glesbench -nolanes      # per-fragment shading instead of lane-batched SoA
-//	glesbench -lanewidth 8  # SoA batch width of the lane-batched engine
-//	glesbench -nomaskedlanes # branchy programs per-fragment instead of masked lanes
 //	glesbench -nocoherence  # re-shade every tile instead of eliding unchanged ones
 //	glesbench -micro        # add shader-exec and sampling microbenchmarks
 //	glesbench -benchjson f  # machine-readable host-time results to f
@@ -49,13 +43,7 @@ type benchJSON struct {
 	GoVersion   string       `json:"go_version"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Workers     int          `json:"workers"`
-	JIT         bool         `json:"jit"`
 	Passes      bool         `json:"passes"`
-	Tiling      bool         `json:"tiling"`
-	TileSize    int          `json:"tile_size"`
-	Lanes       bool         `json:"lanes"`
-	LaneWidth   int          `json:"lane_width"`
-	MaskedLanes bool         `json:"masked_lanes"`
 	QuadFast    bool         `json:"quad_fast"`
 	Coherence   bool         `json:"coherence"`
 	Figures     []figureTime `json:"figures"`
@@ -69,9 +57,6 @@ type figureTime struct {
 	// figures (absent elsewhere).
 	Elided int64 `json:"elided,omitempty"`
 	Shaded int64 `json:"shaded,omitempty"`
-	// FallbackDraws is the lane-fallback counter of the masked figures
-	// (absent elsewhere).
-	FallbackDraws int64 `json:"fallback_draws,omitempty"`
 	// Stages, PassesFused, ReadbacksElided and VirtualUS describe the
 	// pipeline figures (absent elsewhere): passes per run, the planner's
 	// lifetime fusion counter, intermediates kept on-device instead of
@@ -84,18 +69,12 @@ type figureTime struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 3, vbo, 4a, 4b, 5a, 5b or all; also journey, ablation, service, coherence, masked, pipeline, or servebench (service, coherence, masked, pipeline and servebench are opt-in only, never part of all)")
+	fig := flag.String("fig", "all", "figure to reproduce: 3, vbo, 4a, 4b, 5a, 5b or all; also journey, ablation, service, coherence, pipeline, or servebench (service, coherence, pipeline and servebench are opt-in only, never part of all)")
 	size := flag.Int("size", 1024, "matrix dimension for timing runs (paper: 1024)")
 	calib := flag.Int("calib", 64, "matrix dimension for the functional validation run")
 	iters := flag.Int("iters", 100, "measured benchmark-body repetitions")
 	workers := flag.Int("workers", 0, "host fragment-shading workers (0: GLES2GPGPU_WORKERS or GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
-	nojit := flag.Bool("nojit", false, "run shaders on the reference interpreter instead of the closure-compiled engine (A/B escape hatch; results are bit-identical, only host time changes)")
 	nopasses := flag.Bool("nopasses", false, "disable the host shader optimisation passes (A/B escape hatch; the passes are cycle-neutral, so results are bit-identical, only host time changes)")
-	notile := flag.Bool("notile", false, "shade in horizontal bands instead of the tile-binned fragment engine (A/B escape hatch; results are bit-identical, only host time changes)")
-	tilesize := flag.Int("tilesize", 0, "tile edge length of the tiled fragment engine (0: default 32)")
-	nolanes := flag.Bool("nolanes", false, "shade every fragment individually instead of lane-batched SoA execution (A/B escape hatch; results are bit-identical, only host time changes)")
-	lanewidth := flag.Int("lanewidth", 0, "SoA batch width of the lane-batched engine (0: default 8, max 16); results are bit-identical at any width")
-	nomaskedlanes := flag.Bool("nomaskedlanes", false, "shade branchy programs (jacobi) per-fragment instead of divergence-masked lane execution (A/B escape hatch; results are bit-identical, only host time changes)")
 	nocoherence := flag.Bool("nocoherence", false, "re-shade every tile every draw instead of eliding tiles with unchanged inputs (A/B escape hatch; results are bit-identical, only host time changes)")
 	nofuse := flag.Bool("nofuse", false, "disable proof-gated pass fusion in the pipeline planner (A/B escape hatch; results are bit-identical, only host time changes)")
 	sbReplicas := flag.String("sb-replicas", "", "servebench: comma-separated fleet sizes to sweep (default 1,2,4)")
@@ -150,37 +129,17 @@ func main() {
 
 	o := bench.Opts{
 		PaperSize: *size, CalibSize: *calib, Iters: *iters, Workers: *workers,
-		NoJIT: *nojit, NoPasses: *nopasses, NoTiling: *notile, TileSize: *tilesize,
-		NoLanes: *nolanes, LaneWidth: *lanewidth, NoMaskedLanes: *nomaskedlanes,
-		NoCoherence: *nocoherence,
+		NoPasses: *nopasses, NoCoherence: *nocoherence,
 	}
 	devs := bench.Devices()
-	tileSize := *tilesize
-	if tileSize == 0 {
-		tileSize = gles.DefaultTileSize
-	}
-	laneWidth := *lanewidth
-	if laneWidth == 0 {
-		laneWidth = shader.DefaultLaneWidth
-	}
-	if laneWidth > shader.MaxLaneWidth {
-		laneWidth = shader.MaxLaneWidth
-	}
 	report := benchJSON{
 		Schema:     "gles2gpgpu.bench/1",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    *workers,
-		JIT:        !*nojit && shader.DefaultJIT(),
 		Passes:     !*nopasses && shader.DefaultPasses(),
-		Tiling:     !*notile && gles.DefaultTiling(),
-		TileSize:   tileSize,
-		Lanes:      !*nolanes && !*nojit && shader.DefaultLanes(),
-		LaneWidth:  laneWidth,
-		MaskedLanes: !*nomaskedlanes && !*nolanes && !*nojit &&
-			shader.DefaultLanes() && shader.DefaultMaskedLanes(),
-		QuadFast:  raster.QuadFast(),
-		Coherence: !*nocoherence && gles.DefaultCoherence(),
+		QuadFast:   raster.QuadFast(),
+		Coherence:  !*nocoherence && gles.DefaultCoherence(),
 	}
 	recordHost := func(name string, d time.Duration) {
 		fmt.Fprintf(os.Stderr, "glesbench: figure %s: host %v\n", name, d.Round(time.Millisecond))
@@ -278,28 +237,6 @@ func main() {
 			report.TotalHostMS += r.HostMS
 		}
 		recordHost("coherence", time.Since(hostStart))
-	}
-	if *fig == "masked" {
-		// Divergence-masked lane execution comparison (branchy jacobi
-		// workloads with masking on versus the per-fragment fallback).
-		// Opt-in only: its output goes to stderr and -benchjson, never
-		// stdout, so the recorded reference output is untouched.
-		hostStart := time.Now()
-		results, err := bench.Masked(ctx, bench.MaskedOpts{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: masked: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			name := r.Name()
-			fmt.Fprintf(os.Stderr, "glesbench: %s: %d iters, %d fallback draws, checksum %#x, host %.3fms\n",
-				name, r.Iters, r.FallbackDraws, r.Checksum, r.HostMS)
-			report.Figures = append(report.Figures, figureTime{
-				Figure: name, HostMS: r.HostMS, FallbackDraws: r.FallbackDraws,
-			})
-			report.TotalHostMS += r.HostMS
-		}
-		recordHost("masked", time.Since(hostStart))
 	}
 	if *fig == "pipeline" {
 		// Kernel-pipeline comparison (vision graphs executed fused,
@@ -431,18 +368,6 @@ func main() {
 			name := r.Name()
 			fmt.Fprintf(os.Stderr, "glesbench: %s: %d fragments x %d draws, host %.3fms\n",
 				name, r.Fragments, r.Draws, r.HostMS)
-			report.Figures = append(report.Figures, figureTime{Figure: name, HostMS: r.HostMS})
-			report.TotalHostMS += r.HostMS
-		}
-		lanes, err := bench.LaneMicro(ctx, 0)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: micro: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range lanes {
-			name := r.Name()
-			fmt.Fprintf(os.Stderr, "glesbench: %s: %d invocations, %d cycles, checksum %#x, host %.3fms\n",
-				name, r.Invocations, r.Cycles, r.Checksum, r.HostMS)
 			report.Figures = append(report.Figures, figureTime{Figure: name, HostMS: r.HostMS})
 			report.TotalHostMS += r.HostMS
 		}

@@ -75,30 +75,12 @@ type Opts struct {
 	// long the calibration takes on the host, never the virtual-time
 	// measurements.
 	Workers int
-	// NoJIT runs the functional calibration on the reference shader
-	// interpreter instead of the closure-compiled engine. Like Workers it
-	// changes host time only, never the virtual-time measurements.
-	NoJIT bool
 	// NoPasses disables the host-side shader optimisation passes for the
-	// functional calibration. Like NoJIT it changes host time only: the
+	// functional calibration. Like Workers it changes host time only: the
 	// passes are cycle-neutral, so virtual-time figures are identical.
 	NoPasses bool
-	// NoTiling shades the functional calibration in horizontal bands
-	// instead of the tile-binned engine. Host time only, like NoJIT.
-	NoTiling bool
-	// TileSize overrides the tiled engine's tile edge length (0: default).
-	TileSize int
-	// NoLanes shades the functional calibration one fragment at a time
-	// instead of lane-batched SoA execution. Host time only, like NoJIT.
-	NoLanes bool
-	// LaneWidth overrides the lane-batched engine's SoA batch width
-	// (0: shader.DefaultLaneWidth). Host time only, like NoJIT.
-	LaneWidth int
-	// NoMaskedLanes disables divergence-masked lane execution, so branchy
-	// programs (jacobi) shade per-fragment. Host time only, like NoJIT.
-	NoMaskedLanes bool
 	// NoCoherence disables the cross-iteration tile-coherence cache for
-	// the functional calibration. Host time only, like NoJIT: elided
+	// the functional calibration. Host time only, like Workers: elided
 	// tiles replay their exact prior bytes and modelled cost.
 	NoCoherence bool
 }
@@ -219,26 +201,8 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 	if o.Workers != 0 {
 		cfg.Workers = o.Workers
 	}
-	if o.NoJIT {
-		cfg.NoJIT = true
-	}
 	if o.NoPasses {
 		cfg.NoPasses = true
-	}
-	if o.NoTiling {
-		cfg.NoTiling = true
-	}
-	if o.TileSize != 0 {
-		cfg.TileSize = o.TileSize
-	}
-	if o.NoLanes {
-		cfg.NoLanes = true
-	}
-	if o.LaneWidth != 0 {
-		cfg.LaneWidth = o.LaneWidth
-	}
-	if o.NoMaskedLanes {
-		cfg.NoMaskedLanes = true
 	}
 	if o.NoCoherence {
 		cfg.NoCoherence = true

@@ -1,7 +1,7 @@
 package bench
 
-// Shader-execution microbenchmarks: how fast the host simulates one shader
-// invocation, across {interpreter, JIT} × {optimisation passes on, off}.
+// Shader-execution microbenchmarks: how fast the reference interpreter
+// simulates one shader invocation with the optimisation passes on and off.
 // These isolate the pass speedup from the full pipeline figures — passes
 // are cycle-neutral by contract, so their entire effect is host time, and
 // this is where it is visible. Each measurement also cross-checks the
@@ -25,7 +25,6 @@ import (
 // MicroResult is one shader-execution microbenchmark measurement.
 type MicroResult struct {
 	Kernel      string
-	JIT         bool
 	Passes      bool
 	Invocations int
 	HostMS      float64
@@ -34,16 +33,13 @@ type MicroResult struct {
 	Cycles int64
 }
 
-// Name is the stable figure label, e.g. "micro/sum/jit/passes=on".
+// Name is the stable figure label, e.g. "micro/sum/interp/passes=on".
 func (r MicroResult) Name() string {
-	eng, p := "interp", "off"
-	if r.JIT {
-		eng = "jit"
-	}
+	p := "off"
 	if r.Passes {
 		p = "on"
 	}
-	return fmt.Sprintf("micro/%s/%s/passes=%s", r.Kernel, eng, p)
+	return fmt.Sprintf("micro/%s/interp/passes=%s", r.Kernel, p)
 }
 
 // microKernels builds the measured shader set.
@@ -73,9 +69,9 @@ func microKernels() ([]struct {
 	}, nil
 }
 
-// Micro measures every kernel under all four executor configurations,
-// running invocations invocations per configuration (0 means 4096). ctx
-// cancels between kernels.
+// Micro measures every kernel with the passes off and on, running
+// invocations invocations per configuration (0 means 4096). ctx cancels
+// between kernels.
 func Micro(ctx context.Context, invocations int) ([]MicroResult, error) {
 	if invocations <= 0 {
 		invocations = 4096
@@ -105,32 +101,30 @@ func Micro(ctx context.Context, invocations int) ([]MicroResult, error) {
 		}
 		var cycles int64
 		first := true
-		for _, jit := range []bool{false, true} {
-			for _, passes := range []bool{false, true} {
-				run := shader.Executor(p, &cost, jit, passes)
-				env := newMicroEnv(p)
-				start := time.Now()
-				for i := 0; i < invocations; i++ {
-					env.Reset()
-					if err := run(env); err != nil {
-						return nil, fmt.Errorf("micro %s: %w", k.name, err)
-					}
+		for _, passes := range []bool{false, true} {
+			run := shader.Executor(p, &cost, passes)
+			env := newMicroEnv(p)
+			start := time.Now()
+			for i := 0; i < invocations; i++ {
+				env.Reset()
+				if err := run(env); err != nil {
+					return nil, fmt.Errorf("micro %s: %w", k.name, err)
 				}
-				host := time.Since(start)
-				total := env.Cycles // Reset keeps the running total
-				if first {
-					cycles, first = total, false
-				} else if total != cycles {
-					return nil, fmt.Errorf("micro %s: jit=%v passes=%v: %d cycles, want %d (pass contract broken)",
-						k.name, jit, passes, total, cycles)
-				}
-				out = append(out, MicroResult{
-					Kernel: k.name, JIT: jit, Passes: passes,
-					Invocations: invocations,
-					HostMS:      float64(host.Microseconds()) / 1000,
-					Cycles:      total,
-				})
 			}
+			host := time.Since(start)
+			total := env.Cycles // Reset keeps the running total
+			if first {
+				cycles, first = total, false
+			} else if total != cycles {
+				return nil, fmt.Errorf("micro %s: passes=%v: %d cycles, want %d (pass contract broken)",
+					k.name, passes, total, cycles)
+			}
+			out = append(out, MicroResult{
+				Kernel: k.name, Passes: passes,
+				Invocations: invocations,
+				HostMS:      float64(host.Microseconds()) / 1000,
+				Cycles:      total,
+			})
 		}
 	}
 	return out, nil

@@ -13,7 +13,7 @@ import (
 
 // Coherence parity matrix: every state-stepping workload must produce
 // bit-identical final state, identical virtual time and identical step
-// behaviour across {coherence on/off} × {workers 1/4} × {jit/interp/lanes}.
+// behaviour across {coherence on/off} × {workers 1/4}.
 // Elision is a host-time optimisation only; these tests are the contract.
 
 // cohTestPlate is the jacobi boundary condition: hot left edge.
@@ -39,17 +39,13 @@ type cohCell struct {
 	name      string
 	coherence bool
 	workers   int
-	noJIT     bool
-	noLanes   bool
 }
 
 var cohCells = []cohCell{
-	{"off-w1-jit", false, 1, false, false}, // the reference cell
-	{"on-w1-jit", true, 1, false, false},
-	{"on-w4-jit", true, 4, false, false},
-	{"on-w1-interp", true, 1, true, false},
-	{"on-w4-nolanes", true, 4, false, true},
-	{"off-w4-jit", false, 4, false, false},
+	{"off-w1", false, 1}, // the reference cell
+	{"on-w1", true, 1},
+	{"on-w4", true, 4},
+	{"off-w4", false, 4},
 }
 
 // cohRunWorkload builds an engine for the cell, steps the workload and
@@ -65,8 +61,6 @@ func cohRunCell(t *testing.T, c cohCell, n, iters int,
 	t.Helper()
 	cfg := baseConfig(n)
 	cfg.Workers = c.workers
-	cfg.NoJIT = c.noJIT
-	cfg.NoLanes = c.noLanes
 	cfg.NoCoherence = !c.coherence
 	e, err := NewEngine(cfg)
 	if err != nil {

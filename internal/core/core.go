@@ -130,55 +130,16 @@ type Config struct {
 	// environment variable, or GOMAXPROCS; 1 forces serial shading.
 	Workers int
 
-	// NoJIT forces the reference shader interpreter instead of the
-	// closure-compiled execution engine (the library equivalent of
-	// GLES2GPGPU_NO_JIT=1). Like Workers it changes host wall-clock time
-	// only: results and virtual-time figures are bit-identical either way.
-	NoJIT bool
-
 	// NoPasses disables the host-side shader optimisation passes (dead-code
 	// elimination, copy/constant propagation — the library equivalent of
-	// GLES2GPGPU_NO_PASSES=1). Like NoJIT it changes host wall-clock time
-	// only: the passes are cycle-neutral, so results and virtual-time
+	// GLES2GPGPU_NO_PASSES=1). Like Workers it changes host wall-clock
+	// time only: the passes are cycle-neutral, so results and virtual-time
 	// figures are bit-identical either way.
 	NoPasses bool
 
-	// NoTiling disables the tile-binned fragment engine, shading eligible
-	// parallel draws in horizontal bands instead (the library equivalent
-	// of GLES2GPGPU_NO_TILING=1). Like NoJIT it changes host wall-clock
-	// time only: results and virtual-time figures are bit-identical.
-	NoTiling bool
-
-	// TileSize overrides the edge length of the square screen tiles the
-	// tiled fragment engine bins into. 0 means gles.DefaultTileSize.
-	TileSize int
-
-	// NoLanes disables the lane-batched (SoA) shader execution engine,
-	// shading every fragment individually instead (the library equivalent
-	// of GLES2GPGPU_NO_LANES=1). Like NoJIT it changes host wall-clock
-	// time only: framebuffer contents and every virtual-time figure are
-	// bit-identical either way. Branchy or discarding programs fall back
-	// to per-fragment execution regardless of this setting.
-	NoLanes bool
-
-	// LaneWidth overrides how many fragments the lane-batched engine runs
-	// through each instruction at once. 0 means shader.DefaultLaneWidth;
-	// values are clamped to [1, shader.MaxLaneWidth]. Results are
-	// bit-identical at any width.
-	LaneWidth int
-
-	// NoMaskedLanes disables divergence-masked lane execution, so branchy
-	// or discarding fragment programs (jacobi) fall back to per-fragment
-	// shading instead of running through the SoA engine under an
-	// active-lane mask (the library equivalent of
-	// GLES2GPGPU_NO_MASKED_LANES=1). Like NoJIT it changes host wall-clock
-	// time only: framebuffer contents and every virtual-time figure are
-	// bit-identical either way.
-	NoMaskedLanes bool
-
 	// NoCoherence disables the cross-iteration tile-coherence cache,
 	// re-shading every tile on every draw (the library equivalent of
-	// GLES2GPGPU_NO_COHERENCE=1). Like NoJIT it changes host wall-clock
+	// GLES2GPGPU_NO_COHERENCE=1). Like Workers it changes host wall-clock
 	// time only: elided tiles replay their exact prior output bytes and
 	// modelled cost, so framebuffer contents and every virtual-time
 	// figure are bit-identical either way.
@@ -211,7 +172,7 @@ type Config struct {
 	// passes through intermediate textures instead of one composed
 	// program (the library equivalent of GLES2GPGPU_NO_FUSE=1). Fusion is
 	// bit-identical by construction — output bytes, Cycles/TexFetches and
-	// every virtual-time figure match the unfused plan — so like NoJIT
+	// every virtual-time figure match the unfused plan — so like NoPasses
 	// this changes host work only. The default comes from pipeline's
 	// DefaultFuse (on, unless GLES2GPGPU_NO_FUSE is set); engines built
 	// by knob-matrix harnesses set it explicitly.
@@ -293,26 +254,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Workers != 0 {
 		e.gl.SetWorkers(cfg.Workers)
 	}
-	if cfg.NoJIT {
-		e.gl.SetJIT(false)
-	}
 	if cfg.NoPasses {
 		e.gl.SetPasses(false)
-	}
-	if cfg.NoTiling {
-		e.gl.SetTiling(false)
-	}
-	if cfg.TileSize != 0 {
-		e.gl.SetTileSize(cfg.TileSize)
-	}
-	if cfg.NoLanes {
-		e.gl.SetLanes(false)
-	}
-	if cfg.LaneWidth != 0 {
-		e.gl.SetLaneWidth(cfg.LaneWidth)
-	}
-	if cfg.NoMaskedLanes {
-		e.gl.SetMaskedLanes(false)
 	}
 	if cfg.NoCoherence {
 		e.gl.SetCoherence(false)

@@ -11,11 +11,11 @@ import (
 )
 
 // TestSharedProgramCacheConcurrentEngines hammers one SharedProgramCache
-// and one device profile (hence one JIT cost-model identity) from many
+// and one device profile (hence one lane-cache cost-model identity) from many
 // goroutines at once, each owning a private engine but sharing compiled
 // kernels. Run under -race this pins the two concurrency contracts the
 // serving layer relies on: the per-source program cache and the
-// Program.Compiled JIT memoisation are safe when the compiled artefacts
+// Program.LaneCompiled memoisation are safe when the compiled artefacts
 // are shared across contexts.
 func TestSharedProgramCacheConcurrentEngines(t *testing.T) {
 	const (

@@ -44,7 +44,8 @@ package gles
 // Modelled-device time is deliberately untouched: an elided tile
 // contributes its cached fragments/cycles/texFetches to the draw stats, so
 // Cycles, TexFetches and every virtual-time figure are bit-identical with
-// the knob on or off — only host wall-clock time changes. The win is
+// the knob on or off — only host wall-clock time changes. Non-elided tiles
+// shade in lane batches exactly like the tiled path (tiled.go). The win is
 // reported by the CoherenceElided/CoherenceShaded counters
 // (Context.CoherenceStats) and the coherence bench figures.
 
@@ -111,12 +112,11 @@ type cohTile struct {
 // plus the per-tile results, keyed by tile origin (stable across draws —
 // binTiles anchors tiles at global multiples of the tile size).
 type cohDraw struct {
-	fs       *shader.Program
-	sig      []byte
-	tileSize int
-	tiles    map[[2]int]*cohTile
-	bytes    int
-	gen      uint64 // last draw generation that used the entry (for eviction)
+	fs    *shader.Program
+	sig   []byte
+	tiles map[[2]int]*cohTile
+	bytes int
+	gen   uint64 // last draw generation that used the entry (for eviction)
 }
 
 // CoherenceStats returns the cumulative cross-iteration coherence counters:
@@ -136,14 +136,11 @@ func (c *Context) CoherenceStaticSlots() int64 { return c.cohStatic }
 // because a blended fragment reads the destination pixel, making the
 // output depend on target history the signature does not capture; sampling
 // the render target itself (undefined in GLES2) is excluded for the same
-// reason. The liveness proofs are the same ones the parallel paths need:
-// they make fragments independent of each other and of pooled Env state,
-// so a tile-order walk is byte-identical to the serial walk.
-func (c *Context) coherentEligible(fp *shader.Program, tgt renderTarget, samplers []*Texture) bool {
+// reason. Callers only ask for fast-path draws, whose liveness proofs make
+// fragments independent of each other and of pooled LaneEnv state, so a
+// tile-order walk is byte-identical to the serial walk.
+func (c *Context) coherentEligible(tgt renderTarget, samplers []*Texture) bool {
 	if !c.coherence || c.timingOnly || c.blendEnabled {
-		return false
-	}
-	if !fp.WritesBeforeReads || !fp.OutputsAlwaysWritten {
 		return false
 	}
 	for _, t := range samplers {
@@ -401,16 +398,16 @@ func cohTileBytes(ct *cohTile) int {
 
 // shadeTrianglesCoherent is the coherent tile path: it bins the draw into
 // tiles, elides tiles whose cached inputs are unchanged since the last
-// matching draw, shades the rest with footprint-tracking samplers (in
-// parallel when workers are configured), and refreshes the cache. Returns
-// ok=false when the draw is too large to cache; the caller falls through
-// to the ordinary paths.
-func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture) (drawStats, bool) {
-	tiles := binTiles(setups, c.tileSize)
+// matching draw, shades the rest in lane batches with footprint-tracking
+// samplers (in parallel when workers are configured), and refreshes the
+// cache. Returns ok=false when the draw is too large to cache; the caller
+// falls through to the plain tiled path.
+func (c *Context) shadeTrianglesCoherent(p *Program, lc *shader.LaneCompiled, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture) (drawStats, bool) {
+	tiles := binTiles(setups)
 	if len(tiles) == 0 {
 		return drawStats{}, false
 	}
-	if len(tiles)*(c.tileSize*c.tileSize*4+256) > cohMaxEntryBytes {
+	if len(tiles)*(tileSize*tileSize*4+256) > cohMaxEntryBytes {
 		return drawStats{}, false
 	}
 
@@ -419,14 +416,13 @@ func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []
 	sig := c.cohSignature(p, setups, vpX, vpY, samplers)
 	c.cohGen++
 	entry := c.cohCache[key]
-	match := entry != nil && entry.fs == fp && entry.tileSize == c.tileSize &&
-		bytes.Equal(entry.sig, sig)
+	match := entry != nil && entry.fs == fp && bytes.Equal(entry.sig, sig)
 	if !match {
 		if entry != nil {
 			c.cohBytes -= entry.bytes
 		}
 		entry = &cohDraw{
-			fs: fp, sig: sig, tileSize: c.tileSize,
+			fs: fp, sig: sig,
 			tiles: make(map[[2]int]*cohTile, len(tiles)),
 		}
 		c.cohCache[key] = entry
@@ -479,16 +475,7 @@ func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []
 	}
 	uniforms4 := p.fsUniforms4()
 
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	fcReg := p.fragCoordReg
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	lcfg := c.laneCompiledFor(fp)
-	var lanePool *shader.LaneEnvPool
-	if lcfg != nil {
-		lanePool = c.fsLanePoolFor(fp)
-	}
+	lanePool := c.fsLanePoolFor(fp)
 
 	nw := c.workers
 	if nw > len(shadeIdx) {
@@ -527,16 +514,7 @@ func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []
 			}
 			return tfns[idx](u, v)
 		}
-		var ls *laneShader
-		var env *shader.Env
-		if lcfg != nil {
-			ls = c.newLaneShader(lcfg, lanePool, p, tgt, tfns, sample)
-		} else {
-			env = pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = tfns
-		}
+		ls := c.newLaneShader(lc, lanePool, p, tgt, tfns, sample)
 
 		for {
 			wi := int(atomic.AddInt64(&next, 1)) - 1
@@ -568,66 +546,32 @@ func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []
 			ct.cx0, ct.cy0, ct.cx1, ct.cy1 = cx0, cy0, cx1, cy1
 			tr.reset()
 
-			if ls != nil {
-				pf, pc, pt := ls.frags, ls.env.Cycles, ls.env.TexFetches
-				// Cover bits are set at scatter time via the write hook, not
-				// at gather: a masked batch can discard individual lanes, and
-				// a discarded fragment's pixel must stay uncovered exactly as
-				// in the per-fragment loop below.
-				ls.onWrite = func(px, py int32) {
-					bit := (int(py)-cy0)*cw + (int(px) - cx0)
-					ct.cover[bit>>6] |= 1 << uint(bit&63)
-				}
-				for _, tri := range tile.tris {
-					setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						ls.add(px, py, fc, varyings)
-					})
-				}
-				// Flush at the tile boundary so the per-tile stat attribution
-				// is exact. Scatter order stays gather order and fragments
-				// are independent (liveness proofs), so bytes are unchanged;
-				// counters are per-fragment sums, indifferent to batching.
-				ls.flush()
-				ls.onWrite = nil
-				ct.fragments = ls.frags - pf
-				ct.cycles = ls.env.Cycles - pc
-				ct.texFetches = ls.env.TexFetches - pt
-			} else {
-				pc, pt := env.Cycles, env.TexFetches
-				var frags int64
-				for _, tri := range tile.tris {
-					setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						env.Discarded = false
-						for reg, v := range varyings {
-							env.Inputs[reg] = v
-						}
-						if fcReg >= 0 {
-							env.Inputs[fcReg] = fc
-						}
-						if err := execFS(env); err != nil {
-							return
-						}
-						frags++
-						if env.Discarded || !hasOut {
-							return
-						}
-						c.writePixel(tgt.pixels, (py*tgt.w+px)*4, env.Outputs[out.Reg], mask)
-						bit := (py-cy0)*cw + (px - cx0)
-						ct.cover[bit>>6] |= 1 << uint(bit&63)
-					})
-				}
-				ct.fragments = frags
-				ct.cycles = env.Cycles - pc
-				ct.texFetches = env.TexFetches - pt
+			pf, pc, pt := ls.frags, ls.env.Cycles, ls.env.TexFetches
+			// Cover bits are set at scatter time via the write hook, not at
+			// gather: a masked batch can discard individual lanes, and a
+			// discarded fragment's pixel must stay uncovered.
+			ls.onWrite = func(px, py int32) {
+				bit := (int(py)-cy0)*cw + (int(px) - cx0)
+				ct.cover[bit>>6] |= 1 << uint(bit&63)
 			}
+			for _, tri := range tile.tris {
+				setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
+					px, py := vpX+x, vpY+y
+					if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
+						return
+					}
+					ls.add(px, py, fc, varyings)
+				})
+			}
+			// Flush at the tile boundary so the per-tile stat attribution is
+			// exact. Scatter order stays gather order and fragments are
+			// independent (liveness proofs), so bytes are unchanged;
+			// counters are per-fragment sums, indifferent to batching.
+			ls.flush()
+			ls.onWrite = nil
+			ct.fragments = ls.frags - pf
+			ct.cycles = ls.env.Cycles - pc
+			ct.texFetches = ls.env.TexFetches - pt
 
 			if clipped {
 				ch := cy1 - cy0 + 1
@@ -708,11 +652,7 @@ func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []
 			newTiles[wi] = ct
 		}
 
-		if ls != nil {
-			ls.finish() // per-tile stats already attributed; recycle the env
-		} else {
-			pool.Put(env)
-		}
+		ls.finish() // per-tile stats already attributed; recycle the env
 	}
 
 	if nw >= 2 {

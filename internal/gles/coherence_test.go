@@ -88,7 +88,7 @@ func (c *cohTestCtx) draw(t *testing.T, n int) (pixels []byte, out drawOutcome, 
 // asserting the exact elided/shaded split per draw and bit-identity with a
 // coherence-off mirror at every step.
 func TestCoherenceSingleTexelInvalidation(t *testing.T) {
-	const n = 64 // 2×2 tiles of DefaultTileSize (32)
+	const n = 64 // 2×2 tiles of tileSize (32)
 	coh := newCohTestCtx(t, n, true)
 	defer coh.gl.Destroy()
 	ref := newCohTestCtx(t, n, false)
@@ -244,7 +244,7 @@ func TestCoherencePingPongTextures(t *testing.T) {
 // static feed could silently fall back to dynamic tracking and every
 // other coherence test would still pass vacuously.
 func TestCoherenceStaticFootprint(t *testing.T) {
-	const n = 64 // 2×2 tiles of DefaultTileSize (32)
+	const n = 64 // 2×2 tiles of tileSize (32)
 	coh := newCohTestCtx(t, n, true)
 	defer coh.gl.Destroy()
 	ref := newCohTestCtx(t, n, false)

@@ -218,23 +218,18 @@ type Context struct {
 	vsEnv, fsEnv *shader.Env
 	envProg      *Program
 
-	// Host-parallel fragment shading (see parallel.go): worker count,
-	// lazily started worker pool, per-program Env pool and the coverage
-	// bitmap scratch used for point-overlap detection.
-	workers      int
-	pool         *workerPool
-	fsEnvPool    *shader.EnvPool
-	coverScratch []uint64
+	// Host-parallel fragment shading (see parallel.go): worker count and
+	// lazily started worker pool.
+	workers int
+	pool    *workerPool
 
-	// fsLanePool pools SoA batch environments for the lane-batched engine
-	// (see lanes.go), recreated when the fragment program or lane width
-	// changes.
+	// fsLanePool pools SoA batch environments for the lane-batched fast
+	// path (see lanes.go), recreated when the fragment program changes.
 	fsLanePool *shader.LaneEnvPool
 
-	// jit selects the closure-compiled shader backend for draws; the
-	// interpreter remains the reference semantics and both produce
-	// bit-identical results (see internal/shader/jit.go).
-	jit bool
+	// interpOnly forces every draw onto the per-fragment interpreter loop.
+	// Tests set it to obtain the oracle the fast path is compared against.
+	interpOnly bool
 
 	// passes selects the optimised program form (DCE + copy/constant
 	// propagation, attached at CompileShader time) for draws. The
@@ -242,34 +237,9 @@ type Context struct {
 	// bytes and virtual time bit-identical; only host work changes.
 	passes bool
 
-	// tiling selects the tile-binned fragment engine for eligible parallel
-	// draws (see tiled.go): triangles are binned into tileSize×tileSize
-	// screen tiles and tiles become the parallel work unit, the traversal
-	// order of the tile-based GPUs the simulator models. Results are
-	// bit-identical to band or serial shading; only host scheduling changes.
-	tiling   bool
-	tileSize int
-
-	// lanes selects the lane-batched (SoA) shader engine for straight-line
-	// fragment programs (see lanes.go): batches of laneWidth fragments run
-	// through each instruction at once, amortising closure dispatch.
-	// Framebuffer bytes and all virtual-time figures are bit-identical;
-	// only host wall-clock time changes. Branchy/discarding programs fall
-	// back to the per-fragment engine automatically.
-	lanes     bool
-	laneWidth int
-
-	// maskedLanes extends the lane engine to branchy programs: draws whose
-	// fragment program passes the mask-safety proof (forward branches only,
-	// per-lane discard/return — jacobi's boundary ternary) run through the
-	// SoA engine under an active-lane mask (see
-	// internal/shader/lanes_masked.go) instead of falling back to the
-	// per-fragment JIT. Bit-identical results and counters; host time only.
-	maskedLanes bool
-
-	// laneFallbackDraws counts draws that wanted lane execution (lane
-	// engine on and applicable) but fell back to per-fragment shading —
-	// the masked-lane adoption signal exported by the daemon as
+	// laneFallbackDraws counts draws whose fragment program has no lane
+	// form and therefore shade on the per-fragment interpreter — the
+	// fast-path adoption signal exported by the daemon as
 	// gles2gpgpud_lane_fallback_draws_total.
 	laneFallbackDraws int64
 
@@ -317,15 +287,6 @@ type Context struct {
 // toggle for new contexts.
 func defaultStrictLimits() bool { return os.Getenv("GLES2GPGPU_STRICT_LIMITS") != "" }
 
-// DefaultTileSize is the edge length of the square screen tiles the tiled
-// fragment engine bins into. 32 matches the binning granularity class of
-// the paper's tile-based parts (VideoCore IV, PowerVR SGX).
-const DefaultTileSize = 32
-
-// DefaultTiling reads the GLES2GPGPU_NO_TILING environment toggle for new
-// contexts: tiling is on unless the variable is set.
-func DefaultTiling() bool { return os.Getenv("GLES2GPGPU_NO_TILING") == "" }
-
 // Framebuffer is a framebuffer object with a colour attachment.
 type Framebuffer struct {
 	name     uint32
@@ -353,13 +314,7 @@ func NewContext(ec *egl.Context) *Context {
 		statCache:    make(map[statKey]drawStats),
 		progCache:    make(map[shaderCacheKey]shaderCacheEntry),
 		workers:      defaultWorkers(),
-		jit:          shader.DefaultJIT(),
 		passes:       shader.DefaultPasses(),
-		tiling:       DefaultTiling(),
-		tileSize:     DefaultTileSize,
-		lanes:        shader.DefaultLanes(),
-		laneWidth:    shader.DefaultLaneWidth,
-		maskedLanes:  shader.DefaultMaskedLanes(),
 		coherence:    DefaultCoherence(),
 		cohCache:     make(map[cohKey]*cohDraw),
 		strictLimits: defaultStrictLimits(),
@@ -382,9 +337,7 @@ func (c *Context) Destroy() {
 		c.pool = nil
 	}
 	c.progCache = make(map[shaderCacheKey]shaderCacheEntry)
-	c.fsEnvPool = nil
 	c.fsLanePool = nil
-	c.coverScratch = nil
 	c.cohCache = make(map[cohKey]*cohDraw)
 	c.cohBytes = 0
 }
@@ -424,21 +377,11 @@ func (c *Context) SetFunctionalOnly(on bool) { c.functionalOnly = on }
 // FunctionalOnly reports the functional-only-mode state.
 func (c *Context) FunctionalOnly() bool { return c.functionalOnly }
 
-// SetJIT selects the shader execution backend: true runs draws on the
-// closure-compiled engine, false on the reference interpreter. Framebuffer
-// bytes, Cycles/TexFetches and every virtual-time figure are bit-identical
-// either way; only host wall-clock time changes. The default comes from
-// shader.DefaultJIT (on, unless GLES2GPGPU_NO_JIT is set).
-func (c *Context) SetJIT(on bool) { c.jit = on }
-
-// JIT reports whether the closure-compiled shader backend is selected.
-func (c *Context) JIT() bool { return c.jit }
-
 // SetPasses selects whether draws execute the optimised program form
 // produced by the analysis pass pipeline (DCE + copy/constant
 // propagation). Results are bit-identical either way — the OptProgram
 // contract charges dead instructions their cycle cost and counts dead
-// texture fetches — so this is an A/B escape hatch like SetJIT. The
+// texture fetches — so this is a host-time A/B escape hatch. The
 // default comes from shader.DefaultPasses (on, unless GLES2GPGPU_NO_PASSES
 // is set).
 func (c *Context) SetPasses(on bool) { c.passes = on }
@@ -446,80 +389,9 @@ func (c *Context) SetPasses(on bool) { c.passes = on }
 // Passes reports whether the optimised program form is selected.
 func (c *Context) Passes() bool { return c.passes }
 
-// SetTiling selects the tile-binned fragment engine for eligible parallel
-// draws: triangles are binned into screen tiles (SetTileSize) and shaded
-// tile-by-tile with dynamic work distribution, instead of in fixed
-// horizontal bands. Framebuffer bytes and all virtual-time figures are
-// bit-identical either way; only host scheduling changes. The default
-// comes from GLES2GPGPU_NO_TILING (tiling on unless set).
-func (c *Context) SetTiling(on bool) { c.tiling = on }
-
-// Tiling reports whether the tile-binned fragment engine is selected.
-func (c *Context) Tiling() bool { return c.tiling }
-
-// SetTileSize sets the square tile edge length of the tiled fragment
-// engine. n <= 0 restores DefaultTileSize.
-func (c *Context) SetTileSize(n int) {
-	if n <= 0 {
-		n = DefaultTileSize
-	}
-	c.tileSize = n
-}
-
-// TileSize returns the configured tile edge length.
-func (c *Context) TileSize() int { return c.tileSize }
-
-// SetLanes selects the lane-batched (SoA) shader engine for eligible
-// draws: straight-line fragment programs run batches of LaneWidth
-// fragments through each instruction at once (see internal/shader/lanes.go),
-// amortising per-instruction dispatch. Framebuffer bytes, Cycles/TexFetches
-// and every virtual-time figure are bit-identical either way; only host
-// wall-clock time changes. Branchy or discarding programs (jacobi) run
-// under the divergence-masked extension when SetMaskedLanes is on, and
-// fall back to the per-fragment engine otherwise; the lane engine is an
-// extension of the compiled backend, so SetJIT(false) disables it too. The
-// default comes from shader.DefaultLanes (on, unless GLES2GPGPU_NO_LANES
-// is set).
-func (c *Context) SetLanes(on bool) { c.lanes = on }
-
-// Lanes reports whether the lane-batched shader engine is selected.
-func (c *Context) Lanes() bool { return c.lanes }
-
-// SetLaneWidth sets the SoA batch width of the lane-batched engine,
-// clamped to [1, shader.MaxLaneWidth]; n <= 0 restores
-// shader.DefaultLaneWidth. Width 1 effectively disables batching (the
-// per-fragment engine is used). Results are bit-identical at any width.
-func (c *Context) SetLaneWidth(n int) {
-	if n <= 0 {
-		n = shader.DefaultLaneWidth
-	}
-	if n > shader.MaxLaneWidth {
-		n = shader.MaxLaneWidth
-	}
-	c.laneWidth = n
-}
-
-// LaneWidth returns the configured SoA batch width.
-func (c *Context) LaneWidth() int { return c.laneWidth }
-
-// SetMaskedLanes selects divergence-masked lane execution for branchy
-// fragment programs the mask-safety proof admits (forward branches,
-// per-lane discard and early return — jacobi): they run through the SoA
-// lane engine under an active-lane mask (internal/shader/lanes_masked.go)
-// instead of falling back to the per-fragment JIT. Framebuffer bytes,
-// Cycles/TexFetches and every virtual-time figure are bit-identical either
-// way; only host wall-clock time changes. A no-op unless the lane engine
-// itself is on (SetLanes/SetJIT). The default comes from
-// shader.DefaultMaskedLanes (on, unless GLES2GPGPU_NO_MASKED_LANES is
-// set).
-func (c *Context) SetMaskedLanes(on bool) { c.maskedLanes = on }
-
-// MaskedLanes reports whether masked lane execution is selected.
-func (c *Context) MaskedLanes() bool { return c.maskedLanes }
-
-// LaneFallbackDraws returns the number of draws that wanted lane-batched
-// execution (engine on and applicable to the draw) but shaded per-fragment
-// because the program failed lane and mask eligibility.
+// LaneFallbackDraws returns the number of draws whose fragment program
+// failed lane and mask eligibility and therefore shaded per-fragment on
+// the reference interpreter.
 func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 
 // SetCoherence selects the cross-iteration tile-coherence engine for
@@ -528,7 +400,7 @@ func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 // bytes instead of re-shading (see coherence.go). Framebuffer bytes,
 // Cycles/TexFetches and every virtual-time figure are bit-identical either
 // way — elided tiles still contribute their cached modelled cost — so this
-// is a host-time knob like SetTiling. Turning it off also drops the cached
+// is a host-time knob like SetPasses. Turning it off also drops the cached
 // snapshots. The default comes from DefaultCoherence (on, unless
 // GLES2GPGPU_NO_COHERENCE is set).
 func (c *Context) SetCoherence(on bool) {

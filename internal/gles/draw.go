@@ -177,14 +177,21 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	fsEnv.Sample = envSampler(samplers)
 
 	cost := &c.prof.CostModel
-	execVS := shader.Executor(vp, cost, c.jit, c.passes)
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
+	execVS := shader.Executor(vp, cost, c.passes)
+	execFS := shader.Executor(fp, cost, c.passes)
 
-	// Masked-lane adoption signal: count draws that wanted lane-batched
-	// shading but must run per-fragment (glslint's mask-fallback finding
-	// says why; the daemon exports the count per device).
-	if c.lanes && c.jit && c.laneWidth >= 2 && c.laneCompiledFor(fp) == nil {
+	// Fast-path selection: a fragment program with a lane form shades its
+	// triangles in lane batches over tiles (tiled.go). Every other draw —
+	// no lane form, or GL_POINTS — runs the per-fragment interpreter loop
+	// below, the oracle the fast path is tested against. Draws without a
+	// lane form are counted (glslint's mask-fallback finding says why; the
+	// daemon exports the count per device).
+	lc := c.laneCompiledFor(fp)
+	if lc == nil {
 		c.laneFallbackDraws++
+	}
+	if c.interpOnly {
+		lc = nil
 	}
 
 	// Vertex stage.
@@ -238,7 +245,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	}
 
 	if mode == POINTS {
-		return c.rasterizePoints(p, tgt, verts, pointSizes, samplers)
+		return c.rasterizePoints(p, tgt, verts, pointSizes, execFS)
 	}
 
 	// Primitive assembly.
@@ -267,9 +274,9 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 		vpW, vpH = tgt.w, tgt.h
 	}
 
-	// Triangle setup up front: the parallel path needs the full primitive
-	// list (each band worker walks every triangle in submission order), and
-	// the bounding-box areas give the fragment estimate that gates it.
+	// Triangle setup up front: the tiled path bins the full primitive list,
+	// and the bounding-box areas give the fragment estimate that gates its
+	// parallelism.
 	setups := make([]raster.Triangle, 0, len(tris))
 	var estFrags int64
 	for _, tri := range tris {
@@ -281,43 +288,8 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 		estFrags += int64(x1-x0+1) * int64(y1-y0+1)
 		setups = append(setups, t)
 	}
-	// Cross-iteration tile coherence: eligible repeated draws elide tiles
-	// whose sampled inputs are byte-identical to the previous iteration
-	// (see coherence.go). Works at any worker count — unlike the parallel
-	// paths it pays for itself through elision, not load balancing.
-	if c.coherentEligible(fp, tgt, samplers) {
-		if st, ok := c.shadeTrianglesCoherent(p, tgt, setups, vpX, vpY, samplers); ok {
-			return st
-		}
-	}
-	if c.parallelEligible(fp, estFrags) {
-		if c.tiling {
-			if st, ok := c.shadeTrianglesTiled(p, tgt, setups, vpX, vpY, samplers, texFns); ok {
-				return st
-			}
-		}
-		if st, ok := c.shadeTrianglesParallel(p, tgt, setups, vpX, vpY, samplers, texFns); ok {
-			return st
-		}
-	}
-
-	// Lane-batched serial shading: straight-line programs gather batches of
-	// laneWidth fragments and run them through the SoA engine (lanes.go).
-	// The rasteriser walk and the scatter order are unchanged, so the
-	// framebuffer bytes and counters are bit-identical to the scalar loop.
-	if lc := c.laneCompiledFor(fp); lc != nil {
-		ls := c.newLaneShader(lc, c.fsLanePoolFor(fp), p, tgt, texFns, fsEnv.Sample)
-		for ti := range setups {
-			setups[ti].Rasterize(func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-				px, py := vpX+x, vpY+y
-				if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-					return
-				}
-				ls.add(px, py, fc, varyings)
-			})
-		}
-		bs := ls.finish()
-		return drawStats{valid: true, fragments: bs.fragments, cycles: bs.cycles, texFetches: bs.texFetches}
+	if lc != nil {
+		return c.shadeTriangles(p, lc, tgt, setups, estFrags, vpX, vpY, samplers, texFns)
 	}
 
 	st := drawStats{valid: true}
@@ -361,21 +333,23 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 // rasterizePoints renders GL_POINTS: each vertex covers a PointSize-sized
 // square of fragments with flat (uninterpolated) varyings and a
 // gl_PointCoord sweeping the square — the classic GPGPU *scatter*
-// primitive on ES2-class hardware.
-func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.Vertex, sizes []float32, samplers []*Texture) drawStats {
+// primitive on ES2-class hardware. Points always shade on the
+// per-fragment interpreter in submission order: overlapping points (the
+// scatter-add histogram idiom) blend in exactly that order.
+func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.Vertex, sizes []float32, execFS func(*shader.Env) error) drawStats {
 	fp := p.fsProg
 	fsEnv := c.fsEnv
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
 	vpX, vpY, vpW, vpH := c.viewport[0], c.viewport[1], c.viewport[2], c.viewport[3]
 	if vpW == 0 || vpH == 0 {
 		vpW, vpH = tgt.w, tgt.h
 	}
 
-	// Precompute each point's raster footprint; the parallel path needs the
-	// full list to prove the rects pairwise disjoint before partitioning.
-	rects := make([]pointRect, 0, len(verts))
-	var estFrags int64
+	out, hasOut := fp.LookupOutput("gl_FragColor")
+	st := drawStats{valid: true}
+	startCycles := fsEnv.Cycles
+	startTex := fsEnv.TexFetches
+	mask := c.colorMask
+
 	for vi := range verts {
 		v := &verts[vi]
 		w := v.Pos[3]
@@ -395,29 +369,6 @@ func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.V
 		if n < 1 {
 			n = 1
 		}
-		estFrags += int64(n) * int64(n)
-		rects = append(rects, pointRect{
-			vi: vi, x0: x0, y0: y0, n: n, sx: sx, sy: sy, size: size, invW: 1 / w,
-		})
-	}
-	if c.parallelEligible(fp, estFrags) && len(rects) >= 2 &&
-		c.pointRectsDisjoint(rects, tgt, vpX, vpY, vpW, vpH) {
-		return c.shadePointsParallel(p, tgt, verts, rects, vpX, vpY, vpW, vpH, samplers, fsEnv.Samplers)
-	}
-
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	st := drawStats{valid: true}
-	startCycles := fsEnv.Cycles
-	startTex := fsEnv.TexFetches
-	mask := c.colorMask
-
-	for ri := range rects {
-		r := &rects[ri]
-		v := &verts[r.vi]
-		sx, sy, size := r.sx, r.sy, r.size
-		half := size / 2
-		x0, y0, n := r.x0, r.y0, r.n
-		w := v.Pos[3]
 		for py := y0; py < y0+n; py++ {
 			for px := x0; px < x0+n; px++ {
 				tx, ty := vpX+px, vpY+py

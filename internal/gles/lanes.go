@@ -21,17 +21,15 @@ package gles
 //     walk: the walk already visits fragments in the order the serial
 //     engine would for each pixel, and flushing preserves it.
 //
-// Eligibility is gated in laneCompiledFor: the lane engine is an extension
-// of the compiled backend (off when the JIT is off), needs width >= 2 to
-// amortise anything, and requires the WritesBeforeReads +
-// OutputsAlwaysWritten proofs because pooled LaneEnvs carry stale register
-// lanes between draws exactly like pooled Envs do between fragments.
-// Straight-line programs take the whole-batch engine; branchy or
-// discarding programs the mask-safety proof admits (forward branches,
-// per-lane discard/return — jacobi) take the divergence-masked engine
-// (lanes_masked.go) when the maskedLanes knob is on; everything else runs
-// per-fragment. Masked batches can discard individual lanes, so flush
-// consults LaneEnv.Discarded before scattering.
+// Eligibility is gated in laneCompiledFor, which requires the
+// WritesBeforeReads + OutputsAlwaysWritten proofs: pooled LaneEnvs carry
+// stale register lanes between batches and draws, and the tiled walk
+// reorders fragments across pixels. Straight-line programs take the
+// whole-batch engine; branchy or discarding programs the mask-safety proof
+// admits (forward branches, per-lane discard/return — jacobi) take the
+// divergence-masked engine (internal/shader/lanes_masked.go); everything
+// else runs on the per-fragment interpreter. Masked batches can discard
+// individual lanes, so flush consults LaneEnv.Discarded before scattering.
 
 import (
 	"gles2gpgpu/internal/shader"
@@ -46,11 +44,10 @@ type laneShader struct {
 	env  *shader.LaneEnv
 	pool *shader.LaneEnvPool
 
-	w int // batch width
 	n int // gathered lanes in the current batch
 
 	// Remembered scatter coordinates for the gathered lanes.
-	px, py [shader.MaxLaneWidth]int32
+	px, py [shader.LaneWidth]int32
 
 	pixels []byte
 	tgtW   int
@@ -71,42 +68,31 @@ type laneShader struct {
 // laneCompiledFor returns the lane-batched compiled form this draw's
 // fragment program executes on — the straight-line whole-batch form when
 // the program allows it, else the divergence-masked form when the
-// maskedLanes knob is on and the mask-safety proof admits the program —
-// or nil when the lane engine does not apply (knob off, JIT off,
-// width < 2, missing liveness proofs, backward branches, or an
-// unsupported opcode). A nil return means callers shade per-fragment
-// exactly as before.
+// mask-safety proof admits the program — or nil when neither applies
+// (missing liveness proofs, a backward branch, or an unsupported opcode).
+// A nil return sends the draw to the per-fragment interpreter.
 func (c *Context) laneCompiledFor(fp *shader.Program) *shader.LaneCompiled {
-	if !c.lanes || !c.jit || c.laneWidth < 2 {
-		return nil
-	}
 	if !fp.WritesBeforeReads || !fp.OutputsAlwaysWritten {
 		return nil
 	}
 	cost := &c.prof.CostModel
 	if c.passes {
-		if lc := fp.LaneCompiledOpt(cost, c.laneWidth); lc != nil {
+		if lc := fp.LaneCompiledOpt(cost, shader.LaneWidth); lc != nil {
 			return lc
 		}
-		if c.maskedLanes {
-			return fp.MaskedLaneCompiledOpt(cost, c.laneWidth)
-		}
-		return nil
+		return fp.MaskedLaneCompiledOpt(cost, shader.LaneWidth)
 	}
-	if lc := fp.LaneCompiled(cost, c.laneWidth); lc != nil {
+	if lc := fp.LaneCompiled(cost, shader.LaneWidth); lc != nil {
 		return lc
 	}
-	if c.maskedLanes {
-		return fp.MaskedLaneCompiled(cost, c.laneWidth)
-	}
-	return nil
+	return fp.MaskedLaneCompiled(cost, shader.LaneWidth)
 }
 
-// fsLanePoolFor returns the LaneEnv pool for the current fragment program
-// at the current width, recreating it when either changes.
+// fsLanePoolFor returns the LaneEnv pool for the current fragment program,
+// recreating it when the program changes.
 func (c *Context) fsLanePoolFor(fp *shader.Program) *shader.LaneEnvPool {
-	if c.fsLanePool == nil || c.fsLanePool.Program() != fp || c.fsLanePool.Width() != c.laneWidth {
-		c.fsLanePool = shader.NewLaneEnvPool(fp, c.laneWidth)
+	if c.fsLanePool == nil || c.fsLanePool.Program() != fp {
+		c.fsLanePool = shader.NewLaneEnvPool(fp, shader.LaneWidth)
 	}
 	return c.fsLanePool
 }
@@ -126,7 +112,6 @@ func (c *Context) newLaneShader(lc *shader.LaneCompiled, pool *shader.LaneEnvPoo
 		lc:          lc,
 		env:         env,
 		pool:        pool,
-		w:           lc.Width(),
 		pixels:      tgt.pixels,
 		tgtW:        tgt.w,
 		outReg:      out.Reg,
@@ -153,7 +138,7 @@ func (ls *laneShader) add(px, py int, fc shader.Vec4, varyings []shader.Vec4) {
 	ls.px[lane] = int32(px)
 	ls.py[lane] = int32(py)
 	ls.n++
-	if ls.n == ls.w {
+	if ls.n == shader.LaneWidth {
 		ls.flush()
 	}
 }
@@ -189,9 +174,9 @@ func (ls *laneShader) flush() {
 
 // finish flushes the partial final batch, returns the worker's share of
 // the draw measurement, and puts the LaneEnv back in its pool.
-func (ls *laneShader) finish() bandStats {
+func (ls *laneShader) finish() shadeStats {
 	ls.flush()
-	st := bandStats{
+	st := shadeStats{
 		fragments:  ls.frags,
 		cycles:     ls.env.Cycles - ls.startCycles,
 		texFetches: ls.env.TexFetches - ls.startTex,

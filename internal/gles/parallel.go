@@ -1,30 +1,22 @@
 package gles
 
-// Host-parallel fragment shading.
+// Host-parallel fragment shading: the worker count and pool the tiled
+// fast path (tiled.go, coherence.go) spreads a draw's tiles over.
 //
 // The simulator's virtual-time model is unaffected by how fast the host
 // computes a draw, so the fragment stage — by far the dominant host cost —
 // can be spread over OS threads as long as the results stay bit-identical
-// to serial execution:
-//
-//   - Triangles are shaded in horizontal bands (raster.Bands). Every band
-//     worker walks ALL primitives in submission order, clipped to its own
-//     disjoint row range, so the per-pixel sequence of shades and blends is
-//     exactly the serial one restricted to that pixel. This keeps even
-//     overlapping, blending triangles exact.
-//   - Points are partitioned across workers only when their pixel rects are
-//     pairwise disjoint (checked with a coverage bitmap); each pixel is then
-//     written at most once and ordering is irrelevant. Overlapping points —
-//     the scatter-add histogram idiom — fall back to serial.
-//
-// Both paths require the fragment program to be proven independent of
-// residual Env state (Program.WritesBeforeReads, so per-worker Envs cannot
-// diverge from the serially reused one) and to write its outputs on every
-// path (Program.OutputsAlwaysWritten, so the externally read gl_FragColor
-// cannot leak a previous fragment's value). Cycle and texture-fetch
-// counters are int64 sums over fragments, so per-worker subtotals merged by
-// addition reproduce the serial totals exactly; virtual-time results are
-// therefore bit-identical at any worker count.
+// to serial execution. Every pixel belongs to exactly one tile and each
+// tile walks ALL triangles overlapping it in submission order, so the
+// per-pixel sequence of shades and blends is exactly the serial one
+// restricted to that pixel; this keeps even overlapping, blending
+// triangles exact. Fragments of different pixels may run in any order
+// because the fast path only admits programs proven independent of
+// residual register state (Program.WritesBeforeReads) that write their
+// outputs on every path (Program.OutputsAlwaysWritten). Cycle and
+// texture-fetch counters are int64 sums over fragments, so per-worker
+// subtotals merged by addition reproduce the serial totals exactly;
+// virtual-time results are therefore bit-identical at any worker count.
 
 import (
 	"os"
@@ -32,12 +24,12 @@ import (
 	"strconv"
 	"sync"
 
-	"gles2gpgpu/internal/raster"
 	"gles2gpgpu/internal/shader"
 )
 
 // parallelMinFragments gates parallel shading: below this estimated
-// fragment count, goroutine fan-out and joins cost more than they save.
+// fragment count, goroutine fan-out and joins cost more than they save, so
+// the draw shades inline on the calling goroutine.
 const parallelMinFragments = 4096
 
 // defaultWorkers picks the worker count from the GLES2GPGPU_WORKERS
@@ -119,25 +111,8 @@ func (c *Context) ensurePool() *workerPool {
 	return c.pool
 }
 
-// fsPool returns the Env pool for the current fragment program, recreating
-// it when the program changes.
-func (c *Context) fsPool(fp *shader.Program) *shader.EnvPool {
-	if c.fsEnvPool == nil || c.fsEnvPool.Program() != fp {
-		c.fsEnvPool = shader.NewEnvPool(fp)
-	}
-	return c.fsEnvPool
-}
-
-// parallelEligible reports whether a draw with the given fragment program
-// and estimated fragment count may take a parallel path.
-func (c *Context) parallelEligible(fp *shader.Program, estFrags int64) bool {
-	return c.workers >= 2 &&
-		fp.WritesBeforeReads && fp.OutputsAlwaysWritten &&
-		estFrags >= parallelMinFragments
-}
-
-// bandStats is one worker's share of the draw measurement.
-type bandStats struct {
+// shadeStats is one worker's share of the draw measurement.
+type shadeStats struct {
 	fragments  int64
 	cycles     int64
 	texFetches int64
@@ -153,239 +128,4 @@ func envSampler(samplers []*Texture) shader.SampleFunc {
 		}
 		return shader.Vec4(sampleTexture(samplers[idx], u, v))
 	}
-}
-
-// shadeTrianglesParallel shades set-up triangles in disjoint horizontal
-// bands, one worker per band. Returns ok=false when banding yields fewer
-// than two bands (degenerate row ranges), in which case the caller shades
-// serially. VM errors (compiler bugs) abort the failing band's remaining
-// fragments only, mirroring the serial path's skip-fragment behaviour.
-func (c *Context) shadeTrianglesParallel(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) (drawStats, bool) {
-	minY, maxY := int(^uint(0)>>1), -int(^uint(0)>>1)-1
-	for i := range setups {
-		_, y0, _, y1 := setups[i].Bounds()
-		if y0 < minY {
-			minY = y0
-		}
-		if y1 > maxY {
-			maxY = y1
-		}
-	}
-	bands := raster.Bands(minY, maxY, c.workers)
-	if len(bands) < 2 {
-		return drawStats{}, false
-	}
-
-	fp := p.fsProg
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	fcReg := p.fragCoordReg
-	mask := c.colorMask
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	sample := envSampler(samplers)
-	// Lane-batched band shading: resolved on the draw goroutine (the pool
-	// field is per-Context state), then shared read-only by the workers.
-	lcfg := c.laneCompiledFor(fp)
-	var lanePool *shader.LaneEnvPool
-	if lcfg != nil {
-		lanePool = c.fsLanePoolFor(fp)
-	}
-
-	results := make([]bandStats, len(bands))
-	fns := make([]func(), len(bands))
-	for bi := range bands {
-		bi := bi
-		b := bands[bi]
-		fns[bi] = func() {
-			if lcfg != nil {
-				// Batches may span triangles within this band's walk; scatter
-				// order equals gather order, so each pixel's shade/blend
-				// sequence matches the scalar band path.
-				ls := c.newLaneShader(lcfg, lanePool, p, tgt, texFns, sample)
-				for ti := range setups {
-					t := &setups[ti]
-					tx0, _, tx1, _ := t.Bounds()
-					t.RasterizeRect(tx0, b[0], tx1, b[1], func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						ls.add(px, py, fc, varyings)
-					})
-				}
-				results[bi] = ls.finish()
-				return
-			}
-			env := pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = texFns
-			startCycles, startTex := env.Cycles, env.TexFetches
-			var frags int64
-			for ti := range setups {
-				t := &setups[ti]
-				tx0, _, tx1, _ := t.Bounds()
-				t.RasterizeRect(tx0, b[0], tx1, b[1], func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-					px, py := vpX+x, vpY+y
-					if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-						return
-					}
-					env.Discarded = false
-					for reg, v := range varyings {
-						env.Inputs[reg] = v
-					}
-					if fcReg >= 0 {
-						env.Inputs[fcReg] = fc
-					}
-					if err := execFS(env); err != nil {
-						return
-					}
-					frags++
-					if env.Discarded || !hasOut {
-						return
-					}
-					c.writePixel(tgt.pixels, (py*tgt.w+px)*4, env.Outputs[out.Reg], mask)
-				})
-			}
-			results[bi] = bandStats{frags, env.Cycles - startCycles, env.TexFetches - startTex}
-			pool.Put(env)
-		}
-	}
-	c.ensurePool().run(fns)
-
-	st := drawStats{valid: true}
-	for _, r := range results {
-		st.fragments += r.fragments
-		st.cycles += r.cycles
-		st.texFetches += r.texFetches
-	}
-	return st, true
-}
-
-// pointRect is the precomputed raster footprint of one point sprite.
-type pointRect struct {
-	vi     int
-	x0, y0 int
-	n      int
-	sx, sy float64
-	size   float64
-	invW   float32
-}
-
-// pointRectsDisjoint marks every clipped target pixel of every rect in a
-// coverage bitmap and reports whether any pixel is covered twice. The
-// bitmap is O(target pixels / 8) bytes and reused across draws.
-func (c *Context) pointRectsDisjoint(rects []pointRect, tgt renderTarget, vpX, vpY, vpW, vpH int) bool {
-	words := (tgt.w*tgt.h + 63) / 64
-	if cap(c.coverScratch) < words {
-		c.coverScratch = make([]uint64, words)
-	}
-	cover := c.coverScratch[:words]
-	for i := range cover {
-		cover[i] = 0
-	}
-	for i := range rects {
-		r := &rects[i]
-		for py := r.y0; py < r.y0+r.n; py++ {
-			for px := r.x0; px < r.x0+r.n; px++ {
-				tx, ty := vpX+px, vpY+py
-				if tx < 0 || ty < 0 || tx >= tgt.w || ty >= tgt.h || px < 0 || py < 0 || px >= vpW || py >= vpH {
-					continue
-				}
-				bit := ty*tgt.w + tx
-				if cover[bit/64]&(1<<uint(bit%64)) != 0 {
-					return false
-				}
-				cover[bit/64] |= 1 << uint(bit%64)
-			}
-		}
-	}
-	return true
-}
-
-// shadePointsParallel shades point sprites with pairwise-disjoint rects,
-// partitioning the points across workers. Every pixel is written at most
-// once, so ordering between workers is irrelevant and blending reads a
-// pristine destination exactly as serial execution would.
-func (c *Context) shadePointsParallel(p *Program, tgt renderTarget, verts []raster.Vertex, rects []pointRect, vpX, vpY, vpW, vpH int, samplers []*Texture, texFns []shader.TexFunc) drawStats {
-	fp := p.fsProg
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	mask := c.colorMask
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	sample := envSampler(samplers)
-
-	nw := c.workers
-	if nw > len(rects) {
-		nw = len(rects)
-	}
-	results := make([]bandStats, nw)
-	fns := make([]func(), nw)
-	per := (len(rects) + nw - 1) / nw
-	for wi := 0; wi < nw; wi++ {
-		wi := wi
-		lo := wi * per
-		hi := lo + per
-		if hi > len(rects) {
-			hi = len(rects)
-		}
-		fns[wi] = func() {
-			env := pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = texFns
-			startCycles, startTex := env.Cycles, env.TexFetches
-			var frags int64
-		points:
-			for ri := lo; ri < hi; ri++ {
-				r := &rects[ri]
-				v := &verts[r.vi]
-				for py := r.y0; py < r.y0+r.n; py++ {
-					for px := r.x0; px < r.x0+r.n; px++ {
-						tx, ty := vpX+px, vpY+py
-						if tx < 0 || ty < 0 || tx >= tgt.w || ty >= tgt.h || px < 0 || py < 0 || px >= vpW || py >= vpH {
-							continue
-						}
-						env.Discarded = false
-						for reg := 0; reg < v.NumVar; reg++ {
-							env.Inputs[reg] = v.Varyings[reg]
-						}
-						if p.fragCoordReg >= 0 {
-							env.Inputs[p.fragCoordReg] = shader.Vec4{
-								float32(px) + 0.5, float32(py) + 0.5, 0.5, r.invW,
-							}
-						}
-						if p.pointCoordReg >= 0 {
-							env.Inputs[p.pointCoordReg] = shader.Vec4{
-								float32((float64(px) + 0.5 - (r.sx - r.size/2)) / r.size),
-								float32((float64(py) + 0.5 - (r.sy - r.size/2)) / r.size),
-								0, 0,
-							}
-						}
-						if err := execFS(env); err != nil {
-							break points // VM bug: abort this worker's share
-						}
-						frags++
-						if env.Discarded || !hasOut {
-							continue
-						}
-						c.writePixel(tgt.pixels, (ty*tgt.w+tx)*4, env.Outputs[out.Reg], mask)
-					}
-				}
-			}
-			results[wi] = bandStats{frags, env.Cycles - startCycles, env.TexFetches - startTex}
-			pool.Put(env)
-		}
-	}
-	c.ensurePool().run(fns)
-
-	st := drawStats{valid: true}
-	for _, r := range results {
-		st.fragments += r.fragments
-		st.cycles += r.cycles
-		st.texFetches += r.texFetches
-	}
-	return st
 }

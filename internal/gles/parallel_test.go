@@ -1,213 +1,10 @@
 package gles
 
 import (
-	"bytes"
 	"testing"
 
 	"gles2gpgpu/internal/device"
 )
-
-// drawOutcome captures everything a draw scenario produces that parallel
-// shading must reproduce bit-for-bit.
-type drawOutcome struct {
-	pixels     []byte
-	fragments  int64
-	cycles     int64
-	texFetches int64
-}
-
-// runScenario executes scenario on a fresh w×h context configured with the
-// given worker count and returns the framebuffer plus the measured stats of
-// the scenario's returned program.
-func runScenario(t *testing.T, workers, w, h int, scenario func(gl *Context) uint32) drawOutcome {
-	t.Helper()
-	env := newEnv(t, device.Generic(), w, h, false)
-	gl := env.gl
-	gl.SetWorkers(workers)
-	defer gl.Destroy()
-	prog := scenario(gl)
-	if e := gl.GetError(); e != NO_ERROR {
-		t.Fatalf("scenario error: %s", ErrName(e))
-	}
-	out := drawOutcome{pixels: make([]byte, w*h*4)}
-	gl.ReadPixels(0, 0, w, h, RGBA, UNSIGNED_BYTE, out.pixels)
-	var ok bool
-	out.fragments, out.cycles, out.texFetches, ok = gl.DrawStatsFor(prog, w, h)
-	if !ok {
-		t.Fatal("no draw stats recorded")
-	}
-	return out
-}
-
-// expectParity runs the scenario serially and with four workers and demands
-// identical framebuffers and identical virtual-time counters.
-func expectParity(t *testing.T, w, h int, scenario func(gl *Context) uint32) {
-	t.Helper()
-	serial := runScenario(t, 1, w, h, scenario)
-	parallel := runScenario(t, 4, w, h, scenario)
-	if !bytes.Equal(serial.pixels, parallel.pixels) {
-		for i := range serial.pixels {
-			if serial.pixels[i] != parallel.pixels[i] {
-				t.Fatalf("framebuffers diverge at byte %d (pixel %d): serial %d, parallel %d",
-					i, i/4, serial.pixels[i], parallel.pixels[i])
-			}
-		}
-	}
-	if serial.fragments != parallel.fragments {
-		t.Errorf("fragments: serial %d, parallel %d", serial.fragments, parallel.fragments)
-	}
-	if serial.cycles != parallel.cycles {
-		t.Errorf("cycles: serial %d, parallel %d", serial.cycles, parallel.cycles)
-	}
-	if serial.texFetches != parallel.texFetches {
-		t.Errorf("tex fetches: serial %d, parallel %d", serial.texFetches, parallel.texFetches)
-	}
-}
-
-// checkerTexture builds a w×h RGBA texture with position-dependent bytes.
-func checkerTexture(gl *Context, w, h int) uint32 {
-	tex := gl.GenTexture()
-	gl.BindTexture(TEXTURE_2D, tex)
-	gl.TexParameteri(TEXTURE_2D, TEXTURE_MIN_FILTER, NEAREST)
-	gl.TexParameteri(TEXTURE_2D, TEXTURE_MAG_FILTER, NEAREST)
-	data := make([]byte, w*h*4)
-	for i := range data {
-		data[i] = byte(i*7 + i/9)
-	}
-	gl.TexImage2D(TEXTURE_2D, 0, RGBA, w, h, RGBA, UNSIGNED_BYTE, data)
-	return tex
-}
-
-func TestParallelTriangleParity(t *testing.T) {
-	const n = 128 // 16384 fragments: well past the parallel gate
-	expectParity(t, n, n, func(gl *Context) uint32 {
-		checkerTexture(gl, n, n)
-		p := buildProgram(t, gl, quadVS, `
-precision mediump float;
-varying vec2 v_tex;
-uniform sampler2D u_tex;
-void main() {
-	vec4 s = texture2D(u_tex, v_tex);
-	float acc = 0.0;
-	for (int i = 0; i < 4; i++) {
-		acc += s.x * 0.3 + v_tex.y * 0.1;
-	}
-	gl_FragColor = vec4(fract(acc), s.yz, 1.0);
-}`)
-		gl.UseProgram(p)
-		gl.Uniform1i(gl.GetUniformLocation(p, "u_tex"), 0)
-		drawQuad(t, gl, p)
-		return p
-	})
-}
-
-func TestParallelOverlappingBlendedTrianglesParity(t *testing.T) {
-	// Two overlapping quads inside one draw with additive blending: band
-	// partitioning must preserve the per-pixel blend order exactly.
-	const n = 128
-	expectParity(t, n, n, func(gl *Context) uint32 {
-		p := buildProgram(t, gl, quadVS, `
-precision mediump float;
-varying vec2 v_tex;
-void main() { gl_FragColor = vec4(v_tex * 0.3, 0.2, 0.25); }`)
-		gl.Enable(BLEND)
-		gl.BlendFunc(ONE, ONE)
-		gl.UseProgram(p)
-		loc := gl.GetAttribLocation(p, "a_pos")
-		verts := []float32{
-			// Full-screen quad.
-			-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1,
-			// Overlapping half-screen quad.
-			-0.5, -0.5, 1, -0.5, 1, 1, -0.5, -0.5, 1, 1, -0.5, 1,
-		}
-		gl.EnableVertexAttribArray(loc)
-		gl.VertexAttribPointerClient(loc, 2, verts, 0, 0)
-		gl.DrawArrays(TRIANGLES, 0, 12)
-		return p
-	})
-}
-
-func TestParallelDisjointPointsParity(t *testing.T) {
-	// A 64×64 grid of size-1 points on a 128×128 target: pairwise-disjoint
-	// rects, so the parallel point path engages.
-	const n = 128
-	expectParity(t, n, n, func(gl *Context) uint32 {
-		p := buildProgram(t, gl, `
-attribute vec2 a_pos;
-varying vec2 v_val;
-void main() {
-	gl_Position = vec4(a_pos, 0.0, 1.0);
-	gl_PointSize = 1.0;
-	v_val = a_pos * 0.5 + 0.5;
-}`, `
-precision mediump float;
-varying vec2 v_val;
-void main() { gl_FragColor = vec4(v_val, fract(v_val.x * 13.0), 1.0); }`)
-		gl.UseProgram(p)
-		loc := gl.GetAttribLocation(p, "a_pos")
-		var verts []float32
-		for y := 0; y < 64; y++ {
-			for x := 0; x < 64; x++ {
-				// Pixel centres (2x+0.5, 2y+0.5) in a 128-wide viewport.
-				verts = append(verts,
-					(2*float32(x)+0.5)/float32(n)*2-1,
-					(2*float32(y)+0.5)/float32(n)*2-1)
-			}
-		}
-		gl.EnableVertexAttribArray(loc)
-		gl.VertexAttribPointerClient(loc, 2, verts, 0, 0)
-		gl.DrawArrays(POINTS, 0, len(verts)/2)
-		return p
-	})
-}
-
-func TestParallelOverlappingPointsFallBack(t *testing.T) {
-	// The histogram idiom: thousands of points scattered onto the same few
-	// pixels with additive blending. Overlapping rects must force the
-	// serial path, keeping the accumulated counts exact.
-	const n = 128
-	scenario := func(gl *Context) uint32 {
-		p := buildProgram(t, gl, `
-attribute vec2 a_pos;
-void main() {
-	gl_Position = vec4(a_pos, 0.0, 1.0);
-	gl_PointSize = 2.0;
-}`, `
-precision mediump float;
-void main() { gl_FragColor = vec4(1.0/255.0); }`)
-		gl.Enable(BLEND)
-		gl.BlendFunc(ONE, ONE)
-		gl.UseProgram(p)
-		loc := gl.GetAttribLocation(p, "a_pos")
-		var verts []float32
-		for i := 0; i < 2048; i++ {
-			// Four buckets, 512 hits each.
-			bucket := float32(i%4)*8 + 16
-			verts = append(verts, (bucket+0.5)/float32(n)*2-1, 0.5)
-		}
-		gl.EnableVertexAttribArray(loc)
-		gl.VertexAttribPointerClient(loc, 2, verts, 0, 0)
-		gl.DrawArrays(POINTS, 0, len(verts)/2)
-		return p
-	}
-	expectParity(t, n, n, scenario)
-
-	// The blended count must saturate exactly as serial accumulation does:
-	// 512 additive hits of 1/255 clamp to 255.
-	out := runScenario(t, 4, n, n, scenario)
-	y := (int(0.75*n) - 1 + n/2) // row of NDC y=0.5 → window y = 96
-	_ = y
-	found := false
-	for _, b := range out.pixels {
-		if b == 255 {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("expected saturated histogram buckets")
-	}
-}
 
 func TestPointRasterNegativeOrigin(t *testing.T) {
 	// A size-4 point centred on the window origin hangs two pixels off the
@@ -290,8 +87,8 @@ void main() { gl_FragColor = vec4(1.0); }`
 
 func TestParallelGateRequiresProvenProgram(t *testing.T) {
 	// A fragment shader that writes gl_FragColor only conditionally leaks
-	// the previous fragment's colour in serial execution; the parallel gate
-	// must reject it so results stay identical.
+	// the previous fragment's colour in serial execution; the fast path's
+	// gate must reject it so results stay identical.
 	env := newEnv(t, device.Generic(), 8, 8, false)
 	gl := env.gl
 	p := buildProgram(t, gl, quadVS, `
@@ -306,7 +103,7 @@ void main() {
 	if fp.OutputsAlwaysWritten {
 		t.Fatal("conditional gl_FragColor write wrongly proven")
 	}
-	if gl.parallelEligible(fp, 1<<20) {
-		t.Error("parallel gate accepted a conditionally-writing program")
+	if gl.laneCompiledFor(fp) != nil {
+		t.Error("fast-path gate accepted a conditionally-writing program")
 	}
 }

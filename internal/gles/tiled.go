@@ -1,6 +1,7 @@
 package gles
 
-// Tile-binned fragment shading.
+// Tile-binned fragment shading: the fast path every eligible triangle
+// draw takes.
 //
 // The paper's platforms (VideoCore IV, PowerVR SGX) are tile-based
 // deferred renderers: the hardware bins primitives into fixed-size screen
@@ -9,18 +10,17 @@ package gles
 // same traversal. Triangles are binned once per draw into tileSize²-pixel
 // tiles, the non-empty tiles are compacted into a work list, and workers
 // claim tiles off an atomic counter — finishing a cheap tile immediately
-// frees a worker for the next, so load balance no longer depends on
-// fragment work being spread evenly across horizontal bands.
+// frees a worker for the next, so load balance does not depend on
+// fragment work being spread evenly across the screen. Each worker gathers
+// its fragments into lane batches (lanes.go).
 //
-// Bit-identity follows the same argument as band shading (see
-// parallel.go): every pixel belongs to exactly one tile, each tile walks
-// ALL triangles overlapping it in submission order, so the per-pixel
-// sequence of shades and blends is exactly the serial one restricted to
-// that pixel. Fragment ORDER across pixels differs from serial, which is
-// why the tiled path sits behind the same parallelEligible gate
-// (WritesBeforeReads + OutputsAlwaysWritten prove fragments independent).
-// Counters are int64 sums over fragments, so per-worker subtotals merged
-// by addition reproduce the serial totals at any tile size.
+// Bit-identity with the per-fragment interpreter loop in draw.go: every
+// pixel belongs to exactly one tile, each tile walks ALL triangles
+// overlapping it in submission order, so the per-pixel sequence of shades
+// and blends is exactly the serial one restricted to that pixel (see
+// parallel.go for why fragment order across pixels is free). Counters are
+// int64 sums over fragments, so per-worker subtotals merged by addition
+// reproduce the serial totals.
 
 import (
 	"sync/atomic"
@@ -28,6 +28,11 @@ import (
 	"gles2gpgpu/internal/raster"
 	"gles2gpgpu/internal/shader"
 )
+
+// tileSize is the edge length of the square screen tiles draws are binned
+// into. 32 matches the binning granularity class of the paper's tile-based
+// parts (VideoCore IV, PowerVR SGX).
+const tileSize = 32
 
 // tileBin is one non-empty screen tile: its inclusive pixel rectangle and
 // the indices of the set-up triangles whose bounding boxes overlap it, in
@@ -42,7 +47,7 @@ type tileBin struct {
 // order. The triangle index lists come from one flat backing array sized
 // by a counting pass, so binning allocates O(tiles + overlaps) regardless
 // of triangle count.
-func binTiles(setups []raster.Triangle, tileSize int) []tileBin {
+func binTiles(setups []raster.Triangle) []tileBin {
 	minX, minY := int(^uint(0)>>1), int(^uint(0)>>1)
 	maxX, maxY := -minX-1, -minY-1
 	for i := range setups {
@@ -126,107 +131,64 @@ func binTiles(setups []raster.Triangle, tileSize int) []tileBin {
 	return tiles
 }
 
-// shadeTrianglesTiled shades set-up triangles tile-by-tile, workers
-// claiming tiles off an atomic counter. Returns ok=false when binning
-// yields fewer than two non-empty tiles — there is nothing to balance, so
-// the caller falls through to band or serial shading.
-func (c *Context) shadeTrianglesTiled(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) (drawStats, bool) {
-	tiles := binTiles(setups, c.tileSize)
-	if len(tiles) < 2 {
-		return drawStats{}, false
+// shadeTriangles is the fast path for triangle draws whose fragment
+// program lane-compiles (lc, see laneCompiledFor): coherent tiles when the
+// draw is eligible for cross-iteration elision (coherence.go), otherwise
+// every binned tile shaded in lane batches on min(workers, tiles)
+// goroutines — one, inline on the draw goroutine, below
+// parallelMinFragments estimated fragments.
+func (c *Context) shadeTriangles(p *Program, lc *shader.LaneCompiled, tgt renderTarget, setups []raster.Triangle, estFrags int64, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) drawStats {
+	if c.coherentEligible(tgt, samplers) {
+		if st, ok := c.shadeTrianglesCoherent(p, lc, tgt, setups, vpX, vpY, samplers); ok {
+			return st
+		}
 	}
-
-	fp := p.fsProg
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	fcReg := p.fragCoordReg
-	mask := c.colorMask
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	sample := envSampler(samplers)
-	// Lane-batched tile shading: resolved on the draw goroutine (the pool
-	// field is per-Context state), then shared read-only by the workers.
-	lcfg := c.laneCompiledFor(fp)
-	var lanePool *shader.LaneEnvPool
-	if lcfg != nil {
-		lanePool = c.fsLanePoolFor(fp)
-	}
-
+	tiles := binTiles(setups)
 	nw := c.workers
+	if estFrags < parallelMinFragments {
+		nw = 1
+	}
 	if nw > len(tiles) {
 		nw = len(tiles)
 	}
+
+	pool := c.fsLanePoolFor(p.fsProg)
+	sample := envSampler(samplers)
 	var next int64
-	results := make([]bandStats, nw)
-	fns := make([]func(), nw)
-	for wi := 0; wi < nw; wi++ {
-		wi := wi
-		fns[wi] = func() {
-			if lcfg != nil {
-				// Batches may span triangles and tiles within this worker's
-				// walk; scatter order equals gather order, so each pixel's
-				// shade/blend sequence matches the scalar tiled path.
-				ls := c.newLaneShader(lcfg, lanePool, p, tgt, texFns, sample)
-				for {
-					ti := int(atomic.AddInt64(&next, 1)) - 1
-					if ti >= len(tiles) {
-						break
-					}
-					tile := &tiles[ti]
-					for _, tri := range tile.tris {
-						setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-							px, py := vpX+x, vpY+y
-							if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-								return
-							}
-							ls.add(px, py, fc, varyings)
-						})
-					}
-				}
-				results[wi] = ls.finish()
-				return
+	results := make([]shadeStats, nw)
+	worker := func(wi int) {
+		// Batches may span triangles and tiles within this worker's walk;
+		// scatter order equals gather order, so each pixel's shade/blend
+		// sequence matches the per-fragment interpreter loop.
+		ls := c.newLaneShader(lc, pool, p, tgt, texFns, sample)
+		for {
+			ti := int(atomic.AddInt64(&next, 1)) - 1
+			if ti >= len(tiles) {
+				break
 			}
-			env := pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = texFns
-			startCycles, startTex := env.Cycles, env.TexFetches
-			var frags int64
-			for {
-				ti := int(atomic.AddInt64(&next, 1)) - 1
-				if ti >= len(tiles) {
-					break
-				}
-				tile := &tiles[ti]
-				for _, tri := range tile.tris {
-					setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						env.Discarded = false
-						for reg, v := range varyings {
-							env.Inputs[reg] = v
-						}
-						if fcReg >= 0 {
-							env.Inputs[fcReg] = fc
-						}
-						if err := execFS(env); err != nil {
-							return
-						}
-						frags++
-						if env.Discarded || !hasOut {
-							return
-						}
-						c.writePixel(tgt.pixels, (py*tgt.w+px)*4, env.Outputs[out.Reg], mask)
-					})
-				}
+			tile := &tiles[ti]
+			for _, tri := range tile.tris {
+				setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
+					px, py := vpX+x, vpY+y
+					if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
+						return
+					}
+					ls.add(px, py, fc, varyings)
+				})
 			}
-			results[wi] = bandStats{frags, env.Cycles - startCycles, env.TexFetches - startTex}
-			pool.Put(env)
 		}
+		results[wi] = ls.finish()
 	}
-	c.ensurePool().run(fns)
+	if nw == 1 {
+		worker(0)
+	} else if nw > 1 {
+		fns := make([]func(), nw)
+		for wi := range fns {
+			wi := wi
+			fns[wi] = func() { worker(wi) }
+		}
+		c.ensurePool().run(fns)
+	}
 
 	st := drawStats{valid: true}
 	for _, r := range results {
@@ -234,5 +196,5 @@ func (c *Context) shadeTrianglesTiled(p *Program, tgt renderTarget, setups []ras
 		st.cycles += r.cycles
 		st.texFetches += r.texFetches
 	}
-	return st, true
+	return st
 }

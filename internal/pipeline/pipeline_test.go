@@ -12,6 +12,7 @@ import (
 	"gles2gpgpu/internal/device"
 	"gles2gpgpu/internal/kernels"
 	"gles2gpgpu/internal/ref"
+	"gles2gpgpu/internal/shader"
 )
 
 func baseConfig(n int) core.Config {
@@ -197,6 +198,17 @@ func TestFusionDecisions(t *testing.T) {
 					t.Errorf("unfused edge %s→%s has no reason", d.Producer, d.Consumer)
 				}
 			}
+			// Every composed program must take the GLES fast path: the
+			// masked lane engine admits everything the compiler emits
+			// (see internal/shader/admission_test.go for the other sets).
+			for _, g := range p.groups {
+				if !g.fused() {
+					continue
+				}
+				if pc, reason := shader.MaskedFallbackAt(e.GL().ProgramFS(g.kernel.Program())); pc != -1 {
+					t.Errorf("fused composite rejected by masked lanes at pc %d: %s", pc, reason)
+				}
+			}
 		})
 	}
 	// Spot-check the reason taxonomy.
@@ -284,13 +296,6 @@ func TestFusionParity(t *testing.T) {
 	}{
 		{"default", func(c *core.Config) {}},
 		{"workers1", func(c *core.Config) { c.Workers = 1 }},
-		{"notiling", func(c *core.Config) { c.NoTiling = true }},
-		{"nolanes", func(c *core.Config) { c.NoLanes = true }},
-		{"workers1-notiling-nolanes", func(c *core.Config) {
-			c.Workers = 1
-			c.NoTiling = true
-			c.NoLanes = true
-		}},
 	}
 	for _, tc := range visionCases(n) {
 		for _, kb := range knobs {

@@ -317,34 +317,6 @@ func (t *Triangle) AppendFingerprint(dst []byte) []byte {
 	return dst
 }
 
-// Bands splits the inclusive row range [y0, y1] into at most n contiguous,
-// disjoint, non-empty bands [b0, b1] covering it exactly, balanced to
-// within one row. It is the work-partitioning primitive of the
-// host-parallel fragment engine: each band is shaded by one worker, and
-// because every pixel row belongs to exactly one band, per-pixel write
-// order matches serial rasterisation even for overlapping primitives.
-func Bands(y0, y1, n int) [][2]int {
-	rows := y1 - y0 + 1
-	if rows <= 0 || n <= 0 {
-		return nil
-	}
-	if n > rows {
-		n = rows
-	}
-	bands := make([][2]int, 0, n)
-	base, rem := rows/n, rows%n
-	y := y0
-	for i := 0; i < n; i++ {
-		h := base
-		if i < rem {
-			h++
-		}
-		bands = append(bands, [2]int{y, y + h - 1})
-		y += h
-	}
-	return bands
-}
-
 // TileRange returns the inclusive tile-coordinate range the triangle's
 // bounding box touches for a given tile size — the binning step of a
 // tile-based GPU.

@@ -163,7 +163,8 @@ func (p *Params) normalize() (kernelKey, error) {
 			return kernelKey{}, fmt.Errorf("serve: inline input length %d, want %d", len(in), p.N*p.N)
 		}
 		for _, v := range in {
-			if v < 0 || v >= 1 {
+			// Written so NaN fails the range check.
+			if !(v >= 0 && v < 1) {
 				return kernelKey{}, fmt.Errorf("serve: inline input value %g outside [0,1)", v)
 			}
 		}
@@ -198,7 +199,9 @@ func (p *Params) normalize() (kernelKey, error) {
 		}
 		key.block = p.Block
 	case "saxpy":
-		if p.Alpha < 0 || p.Alpha > 1 {
+		// Written so NaN fails the range check: a NaN alpha would also key
+		// a runner that never matches itself and churns the warm cache.
+		if !(p.Alpha >= 0 && p.Alpha <= 1) {
 			return kernelKey{}, fmt.Errorf("serve: saxpy alpha %g outside [0,1]", p.Alpha)
 		}
 		key.alpha = p.Alpha

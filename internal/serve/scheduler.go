@@ -13,7 +13,6 @@ import (
 	"gles2gpgpu/internal/gles"
 	"gles2gpgpu/internal/kernels"
 	"gles2gpgpu/internal/pipeline"
-	"gles2gpgpu/internal/shader"
 )
 
 // Sentinel errors the admission path returns. The HTTP layer maps
@@ -47,24 +46,6 @@ type Config struct {
 	// Evicted runners release their tensors into the engine pool, so a
 	// rebuilt runner's allocations are pool hits.
 	MaxRunners int
-	// NoTiling shades worker engines' draws in horizontal bands instead
-	// of the tile-binned fragment engine. Host time only — results and
-	// virtual-time figures are bit-identical either way.
-	NoTiling bool
-	// TileSize overrides the tiled engine's tile edge length for worker
-	// engines (0: gles.DefaultTileSize).
-	TileSize int
-	// NoLanes shades worker engines' fragments individually instead of
-	// lane-batched SoA execution. Host time only — results and
-	// virtual-time figures are bit-identical either way.
-	NoLanes bool
-	// LaneWidth overrides the lane-batched engine's SoA batch width for
-	// worker engines (0: shader.DefaultLaneWidth).
-	LaneWidth int
-	// NoMaskedLanes makes worker engines shade branchy programs (jacobi)
-	// per-fragment instead of divergence-masked lane execution. Host time
-	// only — results and virtual-time figures are bit-identical either way.
-	NoMaskedLanes bool
 	// NoCoherence disables worker engines' cross-iteration tile-coherence
 	// cache, re-shading every tile on every draw. Host time only — results
 	// and virtual-time figures are bit-identical either way.
@@ -145,22 +126,7 @@ type Scheduler struct {
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, metrics: newMetrics(), pools: map[string]*devicePool{}}
-	tileSize := cfg.TileSize
-	if tileSize <= 0 {
-		tileSize = gles.DefaultTileSize
-	}
-	laneWidth := cfg.LaneWidth
-	if laneWidth <= 0 {
-		laneWidth = shader.DefaultLaneWidth
-	}
-	if laneWidth > shader.MaxLaneWidth {
-		laneWidth = shader.MaxLaneWidth
-	}
-	lanesOn := !cfg.NoLanes && shader.DefaultLanes() && shader.DefaultJIT()
-	s.metrics.setEngineConfig(!cfg.NoTiling && gles.DefaultTiling(), tileSize,
-		lanesOn, laneWidth,
-		lanesOn && !cfg.NoMaskedLanes && shader.DefaultMaskedLanes(),
-		!cfg.NoCoherence && gles.DefaultCoherence(),
+	s.metrics.setEngineConfig(!cfg.NoCoherence && gles.DefaultCoherence(),
 		!cfg.NoFuse && pipeline.DefaultFuse())
 	for _, name := range cfg.Devices {
 		if _, dup := s.pools[name]; dup {
@@ -328,8 +294,8 @@ func (s *Scheduler) Stop() {
 
 // devicePool is one device's queue plus its workers' shared compilation
 // state. All engines in the pool are built from the same *device.Profile
-// instance — the condition for sharing compiled programs (the shader JIT
-// memoises per cost-model identity).
+// instance — the condition for sharing compiled programs (the lane-form
+// caches memoise per cost-model identity).
 type devicePool struct {
 	name    string
 	profile *device.Profile
@@ -543,11 +509,6 @@ func (w *worker) engineFor(n int) (*core.Engine, error) {
 		UseVBO:          true,
 		ProgramCache:    w.pool.progs,
 		TensorPoolBytes: w.pool.sched.cfg.TensorPoolBytes,
-		NoTiling:        w.pool.sched.cfg.NoTiling,
-		TileSize:        w.pool.sched.cfg.TileSize,
-		NoLanes:         w.pool.sched.cfg.NoLanes,
-		LaneWidth:       w.pool.sched.cfg.LaneWidth,
-		NoMaskedLanes:   w.pool.sched.cfg.NoMaskedLanes,
 		NoCoherence:     w.pool.sched.cfg.NoCoherence,
 		NoFuse:          w.pool.sched.cfg.NoFuse,
 	})

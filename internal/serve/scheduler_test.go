@@ -270,35 +270,24 @@ func TestWaitHonoursContext(t *testing.T) {
 }
 
 // TestMetricsMaskedLanes pins the masked-lane observability surface: the
-// engine-config gauge reflects the NoMaskedLanes knob, and the per-device
-// lane-fallback counter is exported after jobs run (the served kernels
-// are straight-line, so its value stays zero — the line itself must still
-// be present for dashboards to find).
+// per-device lane-fallback counter is exported after jobs run (the served
+// kernels all have a lane form, so its value stays zero — the line itself
+// must still be present for dashboards to find).
 func TestMetricsMaskedLanes(t *testing.T) {
-	for _, noMasked := range []bool{false, true} {
-		s, err := New(Config{Devices: []string{"vc4"}, NoMaskedLanes: noMasked})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start()
-		ctx := context.Background()
-		if _, err := s.Do(ctx, sumParams(1)); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := s.Metrics().WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		s.Stop()
-		want := "gles2gpgpud_engine_masked_lanes_enabled 1"
-		if noMasked {
-			want = "gles2gpgpud_engine_masked_lanes_enabled 0"
-		}
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("NoMaskedLanes=%v: metrics missing %q:\n%s", noMasked, want, buf.String())
-		}
-		if !strings.Contains(buf.String(), `gles2gpgpud_lane_fallback_draws_total{device="vc4"}`) {
-			t.Errorf("metrics missing the per-device lane-fallback counter:\n%s", buf.String())
-		}
+	s, err := New(Config{Devices: []string{"vc4"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	if _, err := s.Do(context.Background(), sumParams(1)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	if want := `gles2gpgpud_lane_fallback_draws_total{device="vc4"} 0`; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics missing %q:\n%s", want, buf.String())
 	}
 }

@@ -13,8 +13,9 @@ import (
 // SCCP, resource counting, lint, the optimisation passes — with arbitrary
 // GLSL, then differentially executes any program that survives the front
 // end: the optimised form must match the reference interpreter bit-for-bit
-// on outputs and exactly on Cycles/TexFetches/Discarded. Panics and parity
-// breaks are both fuzz failures; rejected sources are simply uninteresting.
+// on outputs and exactly on Cycles/TexFetches/Discarded. Panics, parity
+// breaks and compiled programs the masked lane engine rejects are all fuzz
+// failures; rejected sources are simply uninteresting.
 func FuzzPassPipeline(f *testing.F) {
 	f.Add("precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }\n")
 	f.Add("precision mediump float;\nuniform float u;\nvoid main() {\n" +
@@ -39,12 +40,18 @@ func FuzzPassPipeline(f *testing.F) {
 		_ = CountResources(cfg)
 		_ = Lint(p, LimitProfiles())
 		// The CFG-derived mask-safety proof and the executor's own
-		// eligibility probe must agree on every program.
+		// eligibility probe must agree on every program, and both must
+		// admit it: the compiler emits only forward branches and
+		// lane-implemented opcodes, so the GLES fast path can shade every
+		// program the liveness proofs allow.
 		_, execReason := shader.MaskedFallbackAt(p)
 		_, cfgReason := MaskSafety(cfg)
 		if (execReason == "") != (cfgReason == "") {
 			t.Fatalf("MaskSafety and MaskedFallbackAt disagree: executor %q, analysis %q",
 				execReason, cfgReason)
+		}
+		if execReason != "" {
+			t.Fatalf("compiled program rejected by the masked lane engine: %s", execReason)
 		}
 		o := Optimize(p)
 		if o == nil {

@@ -2,62 +2,16 @@ package shader
 
 import "sync"
 
-// EnvPool hands out execution environments for one program to concurrent
-// shading workers.
+// LaneEnvPool hands out SoA batch environments (LaneEnv) for one program
+// at one lane width to concurrent shading workers.
 //
 // Concurrency audit backing the host-parallel fragment engine: a compiled
-// Program is immutable after Compile returns — Run only reads Insts and
-// Consts (it copies the Consts reference into the Env, never the other way)
-// — so any number of goroutines may execute the same Program
-// simultaneously as long as each uses its own Env. Uniform slices installed
-// into Env.Uniforms are shared read-only across workers for the duration of
-// a draw; the GLES layer guarantees no API call mutates them while a draw
-// is executing.
-type EnvPool struct {
-	prog *Program
-	mu   sync.Mutex
-	free []*Env
-}
-
-// NewEnvPool returns a pool producing environments sized for p.
-func NewEnvPool(p *Program) *EnvPool {
-	return &EnvPool{prog: p}
-}
-
-// Program returns the program the pool serves.
-func (pl *EnvPool) Program() *Program { return pl.prog }
-
-// Get returns a ready Env, reusing a previously returned one when
-// available. Reused Envs keep their accumulated Cycles/TexFetches counters
-// (callers measure deltas); register state is only trustworthy for
-// programs with WritesBeforeReads, which is exactly the precondition of
-// parallel shading.
-func (pl *EnvPool) Get() *Env {
-	pl.mu.Lock()
-	if n := len(pl.free); n > 0 {
-		e := pl.free[n-1]
-		pl.free = pl.free[:n-1]
-		pl.mu.Unlock()
-		return e
-	}
-	pl.mu.Unlock()
-	return NewEnv(pl.prog)
-}
-
-// Put returns an Env to the pool for reuse.
-func (pl *EnvPool) Put(e *Env) {
-	if e == nil {
-		return
-	}
-	pl.mu.Lock()
-	pl.free = append(pl.free, e)
-	pl.mu.Unlock()
-}
-
-// LaneEnvPool hands out SoA batch environments (LaneEnv) for one program
-// at one lane width to concurrent shading workers. The same concurrency
-// audit as EnvPool applies: a LaneCompiled is immutable, so any number of
-// goroutines may run it as long as each uses its own LaneEnv. Pooling the
+// Program and its LaneCompiled forms are immutable after construction —
+// Run only reads instructions and constants — so any number of goroutines
+// may run them simultaneously as long as each uses its own LaneEnv.
+// Uniform slices broadcast into LaneEnvs are shared read-only for the
+// duration of a draw; the GLES layer guarantees no API call mutates them
+// while a draw is executing. Pooling the
 // SoA register slabs and scratch blocks means the lane executor allocates
 // nothing on the per-tile hot path — workers Get once per draw, batch
 // through the whole tile walk, and Put when done.
@@ -76,9 +30,6 @@ func NewLaneEnvPool(p *Program, width int) *LaneEnvPool {
 
 // Program returns the program the pool serves.
 func (pl *LaneEnvPool) Program() *Program { return pl.prog }
-
-// Width returns the lane width the pool's environments are laid out for.
-func (pl *LaneEnvPool) Width() int { return pl.width }
 
 // Get returns a ready LaneEnv, reusing a previously returned one when
 // available. Reused LaneEnvs keep their accumulated Cycles/TexFetches

@@ -328,16 +328,10 @@ type Program struct {
 	// addition to WritesBeforeReads) to rule that channel out.
 	OutputsAlwaysWritten bool
 
-	// jit caches the closure-compiled form of the program (see jit.go),
-	// built lazily on first execution and keyed by cost-model identity.
-	// jitMu serialises cache fills so concurrent engines sharing one
-	// Program (a serving worker pool) compile it exactly once; reads stay
-	// lock-free through the atomic pointers.
-	jitMu sync.Mutex
-	jit   atomic.Pointer[Compiled]
-	// jitOpt caches the closure-compiled form of the optimised program
-	// (the OptProgram attached via SetOptimized).
-	jitOpt atomic.Pointer[Compiled]
+	// compileMu serialises lane-form cache fills so concurrent engines
+	// sharing one Program (a serving worker pool) compile it exactly once;
+	// reads stay lock-free through the atomic pointers.
+	compileMu sync.Mutex
 	// lanes / lanesOpt cache the lane-batched (SoA) compiled forms (see
 	// lanes.go), keyed by (cost, width) and (cost, width, OptProgram)
 	// respectively; ineligible programs cache a sentinel so the

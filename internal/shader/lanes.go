@@ -2,42 +2,64 @@ package shader
 
 // Lane-batched (SoA) shader execution.
 //
-// The closure JIT in jit.go removed per-instruction decode cost, but it
-// still pays one closure call per instruction per fragment. For the
-// paper-sized workloads the fragment program is a short straight line run
-// millions of times, so dispatch — not arithmetic — dominates host time.
-// Real mobile GPGPU stacks amortise exactly this cost with wide SIMD
-// execution: one instruction is issued once and applied to a whole
-// workgroup of invocations.
+// The interpreter in vm.go re-decodes every instruction on every
+// invocation: a switch dispatch per instruction, a swizzle/negate resolve
+// per operand, a write-mask test per destination component. A fragment
+// program runs once per fragment — for the paper-sized workloads that is
+// millions of invocations of the same short straight line, so dispatch —
+// not arithmetic — dominates host time. Real mobile GPGPU stacks amortise
+// exactly this cost with wide SIMD execution: one instruction is issued
+// once and applied to a whole workgroup of invocations.
 //
 // This file reproduces that structure on the host. A LaneCompiled runs a
 // batch of up to W fragments ("lanes") through each instruction at once
 // over a structure-of-arrays register file: each register component is a
 // contiguous [W]float32 slab, so the per-op inner loop is a tight
 // bounds-check-eliminated float32 loop the compiler can keep in registers.
-// Closure dispatch is paid once per instruction per *batch*, amortising it
-// W×.
+// Operand decode and closure dispatch are paid once per instruction per
+// *batch*, amortising them W×.
 //
-// Eligibility (the same straightness predicate as Compiled.Straight):
+// Eligibility of the whole-batch (straight-line) form:
 //
 //   - No real control flow. Fall-through branches (target = pc+1, emitted
 //     by the GLSL if-lowering) are cost-only no-ops and stay eligible; any
 //     real jump does not. Every generated GPGPU kernel except jacobi is
 //     straight-line because loops are fully unrolled.
 //   - No KIL: a discarding lane would diverge from its batch. Discarding
-//     programs (and branchy ones) fall back to the per-fragment JIT, so
-//     the live-lane mask degenerates to a dense prefix: the gather loop
-//     packs covered fragments into lanes 0..N-1 and every packed lane runs
-//     to completion. A partial final batch simply has N < W.
+//     and branchy programs take the divergence-masked form
+//     (lanes_masked.go), so here the live-lane mask degenerates to a dense
+//     prefix: the gather loop packs covered fragments into lanes 0..N-1
+//     and every packed lane runs to completion. A partial final batch
+//     simply has N < W.
 //   - RET only in the final slot (an early RET would skip instructions).
 //
-// Bit-identity: every per-op lane rule (float32-native vs float64
-// round-trip, min32/max32 special-case order, expression shapes that decide
-// platform FMA fusion) is copied from jit.go, which is proven bit-identical
-// to the interpreter (see the float-precision audit there). Lanes never
-// interact — DPn reductions run within one lane's four components — so a
-// batch of N produces bit-for-bit the outputs of N serial invocations, and
-// Cycles/TexFetches advance by exactly N× the per-invocation amounts.
+// Float-precision audit (which ops may run float32-native and still match
+// the interpreter bit for bit):
+//
+//   - ADD/SUB/MUL/DIV/RCP: the interpreter computes in float64 and rounds
+//     to float32. For operations that are exactly rounded in both
+//     precisions, rounding the double result to single equals computing
+//     directly in single whenever the wide format carries at least 2p+2
+//     significand bits (Figueroa, "When is double rounding innocuous?").
+//     float64 has 53 >= 2*24+2, so these are bit-exact in float32.
+//   - Comparisons (SLT..SNE, SGN): float32→float64 conversion is exact,
+//     so the predicate value is identical; results 0.0/±1.0 are exact.
+//   - MIN/MAX: bit-exact only if the float32 versions reproduce
+//     math.Min/math.Max semantics — NaN normalisation (the float64 path
+//     collapses any NaN payload to float32(math.NaN())) and signed-zero
+//     selection. min32/max32 below do exactly that.
+//   - MAD, DPn, MUL24, CLAMP, SEL, MOV, TEX: the interpreter already
+//     executes these in float32; the lane bodies replicate the same
+//     expression shapes (same operation order, so any platform FMA-fusing
+//     decisions match too).
+//   - Transcendentals (FLR/CEIL/FRC/RSQ/SQRT/EX2/LG2/POW/EXP/LOG/trig,
+//     ABS): kept on the interpreter's float64 math-package path (f64Unary).
+//
+// Lanes never interact — DPn reductions run within one lane's four
+// components — so a batch of N produces bit-for-bit the outputs of N
+// serial invocations, and Cycles/TexFetches advance by exactly N× the
+// per-invocation amounts. The differential tests in lanes_test.go prove
+// this against the interpreter on the kernel suite and on fuzzed programs.
 //
 // Garbage lanes: ALU loops run over the full width even when N < W; the
 // stale values in lanes N..W-1 are never observed (only lanes < N are
@@ -47,24 +69,16 @@ package shader
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // MaxLaneWidth bounds the SoA batch width. 16 keeps one register
 // component's slab (64 bytes) within a cache line.
 const MaxLaneWidth = 16
 
-// DefaultLaneWidth is the batch width used when no override is given;
-// chosen by the lane microbenchmarks in internal/bench (see BENCH_PR6.json).
-const DefaultLaneWidth = 8
-
-// noLanesEnv disables the lane-batched backend process-wide; read once at
-// init, mirroring GLES2GPGPU_NO_JIT.
-var noLanesEnv = os.Getenv("GLES2GPGPU_NO_LANES") != ""
-
-// DefaultLanes reports whether the lane-batched backend is enabled by
-// default (it is, unless GLES2GPGPU_NO_LANES is set in the environment).
-func DefaultLanes() bool { return !noLanesEnv }
+// LaneWidth is the batch width the GLES fragment engine shades at. 8 was
+// chosen by a width sweep over the kernel suite (BENCH_PR6.json): 16 was
+// no faster.
+const LaneWidth = 8
 
 // LaneEnv is the execution environment of one batch of shader invocations,
 // the SoA analogue of Env. Register banks are flat []float32 slabs laid
@@ -216,13 +230,6 @@ type LaneCompiled struct {
 // paths must consult LaneEnv.Discarded.
 func (lc *LaneCompiled) Masked() bool { return lc.masked }
 
-// Width returns the lane width the batch was compiled for.
-func (lc *LaneCompiled) Width() int { return lc.width }
-
-// CyclesPerLane returns the per-invocation cycle cost; a batch of N lanes
-// advances Cycles by exactly N times this.
-func (lc *LaneCompiled) CyclesPerLane() int64 { return lc.cyclesPerLane }
-
 // Run executes the batch of e.N live lanes. Outputs for lanes 0..N-1 and
 // the Cycles/TexFetches deltas are bit-identical to N serial interpreter
 // invocations of the same program.
@@ -243,11 +250,11 @@ func (lc *LaneCompiled) Run(e *LaneEnv) {
 
 // LaneCompiled returns the lane-batched compiled form of p under cost at
 // the given width, building it on first use and caching it on the Program
-// (one-entry cache keyed by cost pointer and width, like the JIT cache —
-// an engine runs one profile at one width, so the key never thrashes in
-// practice). Returns nil when p is not straight-line, uses an unsupported
-// opcode, or width is out of range [2, MaxLaneWidth]; callers fall back to
-// the per-fragment JIT or interpreter.
+// (one-entry cache keyed by cost pointer and width — a Program belongs to
+// one device profile and engines run one width, so the key never thrashes
+// in practice). Returns nil when p is not straight-line, uses an
+// unsupported opcode, or width is out of range [2, MaxLaneWidth]; callers
+// try the masked form next, then fall back to the interpreter.
 func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
 	if c := p.lanes.Load(); c != nil && c.cost == cost && c.width == width {
 		if c.line == nil && c.cyclesPerLane < 0 {
@@ -255,8 +262,8 @@ func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
 		}
 		return c
 	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
+	p.compileMu.Lock()
+	defer p.compileMu.Unlock()
 	if c := p.lanes.Load(); c != nil && c.cost == cost && c.width == width {
 		if c.line == nil && c.cyclesPerLane < 0 {
 			return nil
@@ -290,8 +297,8 @@ func (p *Program) LaneCompiledOpt(cost *CostModel, width int) *LaneCompiled {
 		}
 		return c
 	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
+	p.compileMu.Lock()
+	defer p.compileMu.Unlock()
 	if c := p.lanesOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
 		if c.line == nil && c.cyclesPerLane < 0 {
 			return nil
@@ -569,8 +576,7 @@ func withFin(op laneOp, fin laneOp) laneOp {
 
 // compileLaneInst builds the lane closure for one non-control-flow
 // instruction. The per-op lane rules (float32 vs float64, expression
-// shapes) mirror compileInst in jit.go exactly; see the bit-identity notes
-// at the top of this file.
+// shapes) follow the float-precision audit at the top of this file.
 func (lc *LaneCompiled) compileLaneInst(consts [][4]float32, in *Inst) laneOp {
 	w := lc.width
 	wd, fin := lc.compileLaneDst(in)
@@ -867,7 +873,7 @@ func (lc *LaneCompiled) laneCmp(consts [][4]float32, in *Inst, fin laneOp, wd la
 }
 
 // f64Unary maps a unary transcendental opcode to its interpreter float64
-// function, the same table compileInst uses.
+// function.
 func f64Unary(op Op) func(float64) float64 {
 	switch op {
 	case OpABS:
@@ -909,3 +915,61 @@ var (
 	math64Pow   = math.Pow
 	math64Atan2 = math.Atan2
 )
+
+// min32 / max32 reproduce float32(math.Min/Max(float64(x), float64(y)))
+// bit-for-bit, including math.Min/Max's special-case order: the dominating
+// infinity is checked BEFORE NaN (math.Min(-Inf, NaN) is -Inf, not NaN),
+// any remaining NaN collapses to the canonical float32 NaN (exactly what
+// the float64 round-trip produces), and ±0 selection follows the sign bit.
+// For ordinary operands the comparison is exact because float32→float64
+// conversion is.
+func min32(x, y float32) float32 {
+	switch {
+	case math.IsInf(float64(x), -1) || math.IsInf(float64(y), -1):
+		return float32(math.Inf(-1))
+	case x != x || y != y:
+		return float32(math.NaN())
+	case x == 0 && x == y:
+		if math.Signbit(float64(x)) {
+			return x
+		}
+		return y
+	}
+	if x < y {
+		return x
+	}
+	return y
+}
+
+func max32(x, y float32) float32 {
+	switch {
+	case math.IsInf(float64(x), 1) || math.IsInf(float64(y), 1):
+		return float32(math.Inf(1))
+	case x != x || y != y:
+		return float32(math.NaN())
+	case x == 0 && x == y:
+		if math.Signbit(float64(x)) {
+			return y
+		}
+		return x
+	}
+	if x > y {
+		return x
+	}
+	return y
+}
+
+// resolveConst folds a constant-pool operand (with swizzle and negation)
+// into a value at compile time; out-of-range pool indices read zero,
+// exactly as constAt does.
+func resolveConst(consts [][4]float32, s Src) Vec4 {
+	var base Vec4
+	if int(s.Reg) < len(consts) {
+		base = Vec4(consts[s.Reg])
+	}
+	r := Vec4{base[s.Swiz[0]&3], base[s.Swiz[1]&3], base[s.Swiz[2]&3], base[s.Swiz[3]&3]}
+	if s.Neg {
+		r[0], r[1], r[2], r[3] = -r[0], -r[1], -r[2], -r[3]
+	}
+	return r
+}

@@ -6,7 +6,8 @@ package shader
 // control flow: a branch could send lanes down different paths and the
 // whole-batch inner loops would compute the wrong thing. Jacobi — the one
 // iterative kernel the paper's workloads center on — is exactly such a
-// program, so until now it paid per-fragment JIT dispatch on every draw.
+// program, so the straight-line engine alone would leave it on the
+// per-fragment interpreter.
 //
 // This file runs branchy programs through the same SoA register file under
 // an active-lane mask. The proof obligations that make this sound (checked
@@ -45,20 +46,9 @@ package shader
 // The masked form is strictly slower per instruction than the straight
 // -line form (a full-width stage + masked commit per op, plus the active
 // scan), so engines try the straight-line compile first and use masked
-// only as the divergence fallback; both beat per-fragment JIT dispatch.
+// only as the divergence fallback; both beat per-fragment interpretation.
 
-import (
-	"fmt"
-	"os"
-)
-
-// noMaskedLanesEnv disables the divergence-masked lane backend
-// process-wide; read once at init, mirroring GLES2GPGPU_NO_LANES.
-var noMaskedLanesEnv = os.Getenv("GLES2GPGPU_NO_MASKED_LANES") != ""
-
-// DefaultMaskedLanes reports whether masked lane execution is enabled by
-// default (it is, unless GLES2GPGPU_NO_MASKED_LANES is set).
-func DefaultMaskedLanes() bool { return !noMaskedLanesEnv }
+import "fmt"
 
 // maskedStep kinds. ALU steps carry a lane closure; control steps are
 // interpreted by runMasked directly.
@@ -123,7 +113,7 @@ func maskedFallbackAt(insts []Inst) (int, string) {
 // cost at width, building it on first use and caching it on the Program
 // (same one-entry keying as LaneCompiled, in a separate slot). Returns nil
 // when the program has a backward branch, uses an unsupported opcode, or
-// width is out of range; callers fall back to the per-fragment JIT.
+// width is out of range; callers fall back to the per-fragment interpreter.
 // Straight-line programs compile too (every step simply runs all-active),
 // but engines should prefer LaneCompiled for those — it avoids the
 // per-step stage/commit and active-lane scan.
@@ -134,8 +124,8 @@ func (p *Program) MaskedLaneCompiled(cost *CostModel, width int) *LaneCompiled {
 		}
 		return c
 	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
+	p.compileMu.Lock()
+	defer p.compileMu.Unlock()
 	if c := p.lanesMasked.Load(); c != nil && c.cost == cost && c.width == width {
 		if c.cyclesPerLane < 0 {
 			return nil
@@ -166,8 +156,8 @@ func (p *Program) MaskedLaneCompiledOpt(cost *CostModel, width int) *LaneCompile
 		}
 		return c
 	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
+	p.compileMu.Lock()
+	defer p.compileMu.Unlock()
 	if c := p.lanesMaskedOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
 		if c.cyclesPerLane < 0 {
 			return nil

@@ -11,8 +11,8 @@ import (
 // reference interpreter: a batch of N lanes must produce, for every lane,
 // bit-identical outputs to a serial interpreter invocation with the same
 // inputs, and the batch's Cycles/TexFetches deltas must equal the serial
-// sums. Same bitwise comparison rules as the JIT differential tests
-// (diffBank): sign of zero matters, all NaNs form one equivalence class.
+// sums. Bitwise comparison (diffBank): sign of zero matters, all NaNs form
+// one equivalence class.
 
 // runLaneDiff executes p serially (interpreter, one fresh Env per lane)
 // and as one lane batch, then compares per-lane outputs and summed

@@ -154,22 +154,3 @@ void main() {
 		}
 	}
 }
-
-func TestEnvPoolReuses(t *testing.T) {
-	p := compileFS(t, `void main() { gl_FragColor = vec4(1.0); }`)
-	pool := NewEnvPool(p)
-	a := pool.Get()
-	a.Cycles = 99
-	pool.Put(a)
-	b := pool.Get()
-	if a != b {
-		t.Error("pool did not reuse the returned Env")
-	}
-	if b.Cycles != 99 {
-		t.Error("pooled Env lost its cycle accumulator")
-	}
-	c := pool.Get()
-	if c == b {
-		t.Error("pool handed out the same Env twice")
-	}
-}

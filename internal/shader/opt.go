@@ -102,6 +102,18 @@ func RunOptimized(p *Program, env *Env, cost *CostModel) error {
 	return runInsts(o.Insts, o.Consts, o.Dead, env, cost)
 }
 
+// Executor returns the reference-interpreter function for p under cost:
+// the optimised form when usePasses is set and one is attached (Outputs
+// and counters are bit-identical by the OptProgram contract), else the
+// original instruction stream. The returned function is safe for
+// concurrent use with distinct Envs.
+func Executor(p *Program, cost *CostModel, usePasses bool) func(*Env) error {
+	if usePasses && p.Optimized() != nil {
+		return func(e *Env) error { return RunOptimized(p, e, cost) }
+	}
+	return func(e *Env) error { return Run(p, e, cost) }
+}
+
 // EvalInst executes one data instruction on explicit operand values using
 // the reference interpreter and returns the (pre-mask) result vector. The
 // operands a, b, c are the base register values the instruction's A, B, C
