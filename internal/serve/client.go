@@ -40,8 +40,9 @@ func (e *RetryAfterError) Error() string {
 	return fmt.Sprintf("serve: overloaded, retry after %v: %s", e.RetryAfter, e.Body)
 }
 
-// Do submits one job and returns its result. A 429 response surfaces as
-// *RetryAfterError so callers can pace themselves.
+// Do submits one job and returns its result. It asks for the binary
+// ResultMediaType frame and also reads a JSON answer. A 429 response
+// surfaces as *RetryAfterError so callers can pace themselves.
 func (c *Client) Do(ctx context.Context, p Params) (*Result, error) {
 	body, err := json.Marshal(p)
 	if err != nil {
@@ -52,6 +53,7 @@ func (c *Client) Do(ctx context.Context, p Params) (*Result, error) {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", ResultMediaType)
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return nil, err
@@ -63,11 +65,7 @@ func (c *Client) Do(ctx context.Context, p Params) (*Result, error) {
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var res Result
-		if err := json.Unmarshal(data, &res); err != nil {
-			return nil, err
-		}
-		return &res, nil
+		return DecodeResult(resp.Header.Get("Content-Type"), data)
 	case http.StatusTooManyRequests:
 		after := time.Second
 		if s := resp.Header.Get("Retry-After"); s != "" {

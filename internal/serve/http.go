@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 )
 
 // Handler builds the daemon's HTTP API over a scheduler:
 //
-//	POST /v1/jobs     submit a job (Params JSON), respond with Result JSON
+//	POST /v1/jobs     submit a job (Params JSON), respond with Result JSON,
+//	                  or the ResultMediaType frame when Accept names it
 //	GET  /v1/devices  served devices with live queue depths
 //	GET  /v1/stats    per-device warmth counters (Stats JSON)
 //	GET  /metrics     Prometheus text exposition
@@ -24,13 +26,24 @@ func Handler(s *Scheduler) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		if r.ContentLength > MaxJobBody {
+			http.Error(w, "job body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		var p Params
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobBody)).Decode(&p); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, "job body too large", http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}
 		res, err := s.Do(r.Context(), p)
 		switch {
+		case err == nil && acceptsFrame(r.Header.Get("Accept")):
+			writeFrame(w, res)
 		case err == nil:
 			writeJSON(w, http.StatusOK, res)
 		case errors.Is(err, ErrOverloaded):
@@ -76,13 +89,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+func writeFrame(w http.ResponseWriter, res *Result) {
+	frame, err := encodeFrame(res)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ResultMediaType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(frame)
+}
+
+// Connection timeouts for the daemon's and the router's HTTP servers. A
+// client gets readHeaderTimeout to send its request headers and an idle
+// keep-alive connection is closed after idleTimeout. There is no write
+// timeout: an n=1024 job can legitimately run for seconds.
+const idleTimeout = 2 * time.Minute
+
+// readHeaderTimeout is a variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns an http.Server for h with the service's
+// connection timeouts, so a client that opens a connection and stalls
+// cannot hold it forever.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Serve runs the HTTP API on l until ctx is canceled, then drains: new
 // submissions get 503 while queued and in-flight jobs complete, and the
 // HTTP server shuts down once the queues are empty (bounded by
 // drainTimeout). The scheduler must not be started yet; Serve starts it.
 func Serve(ctx context.Context, l net.Listener, s *Scheduler, drainTimeout time.Duration) error {
 	s.Start()
-	srv := &http.Server{Handler: Handler(s)}
+	srv := NewHTTPServer(Handler(s))
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -4,7 +4,8 @@
 // requests, recycles texture allocations through the engines' residency
 // pools (the Fig. 5 reuse optimisation applied across jobs), and pushes
 // back under load with bounded queues. cmd/gles2gpgpud exposes it over
-// HTTP/JSON; gpgpurun -serve/-load embed the same scheduler and client.
+// HTTP (JSON requests; JSON or binary-frame results, see wire.go);
+// gpgpurun -serve/-load embed the same scheduler and client.
 package serve
 
 import (
@@ -66,11 +67,13 @@ type StageResult struct {
 
 // Result is one completed job.
 type Result struct {
-	// Out is the output matrix, flat row-major length N*N. Go's JSON
-	// encoding round-trips float64 exactly, so equality against a local
-	// core run is bit-exact even through the HTTP daemon. For pipeline
-	// jobs it is the graph's final declared output, whose dimension N may
-	// be smaller than the job's (the pyramid's last level).
+	// Out is the output matrix, flat row-major length N*N. Equality
+	// against a local core run is bit-exact through the HTTP daemon in
+	// either result encoding: the ResultMediaType frame carries the raw
+	// float64 bit patterns, and Go's JSON encoding round-trips float64
+	// exactly. For pipeline jobs it is the graph's final declared output,
+	// whose dimension N may be smaller than the job's (the pyramid's last
+	// level).
 	Out []float64 `json:"out"`
 	N   int       `json:"n"`
 	// Device, Kernel and Pipeline echo the placement.

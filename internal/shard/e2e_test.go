@@ -8,8 +8,12 @@ package shard_test
 // numbers; only latency and placement may change.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,8 +21,11 @@ import (
 	"testing"
 	"time"
 
+	"gles2gpgpu/internal/codec"
 	"gles2gpgpu/internal/core"
 	"gles2gpgpu/internal/device"
+	"gles2gpgpu/internal/kernels"
+	"gles2gpgpu/internal/pipeline"
 	"gles2gpgpu/internal/serve"
 	"gles2gpgpu/internal/shard"
 )
@@ -383,5 +390,167 @@ func TestRoutedChaosKillRestart(t *testing.T) {
 		if err := checkBitIdentical(t, i, p, res.Out, truth, &truthMu); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// directPyramidRun executes a pyramid pipeline job on a fresh engine with
+// fusion off and returns the last level — the oracle for a routed
+// pipeline result, whose N is smaller than the job's.
+func directPyramidRun(t *testing.T, p serve.Params) []float64 {
+	t.Helper()
+	prof, err := device.ByName(p.Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngine(core.Config{
+		Device: prof,
+		Width:  p.N, Height: p.N,
+		Swap:   core.SwapNone,
+		Target: core.TargetTexture,
+		UseVBO: true,
+		NoFuse: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := pipeline.PyramidGraph(p.N, 3, kernels.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pipeline.Compile(e, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := e.NewTensor(p.N, p.N, codec.Unit)
+	if err := src.Upload(p.Source(), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Run(map[string]*core.Tensor{pipeline.SrcInput: src}); err != nil {
+		t.Fatal(err)
+	}
+	e.Finish()
+	out, err := plan.Output(g.Outputs[len(g.Outputs)-1]).Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Data
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// postJob sends one job body with the given Accept header (none when
+// empty) and returns the response's Content-Type, body and routed
+// replica.
+func postJob(t *testing.T, url string, body []byte, accept string) (contentType string, data []byte, replica string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %s: %s", url, resp.Status, data)
+	}
+	return resp.Header.Get("Content-Type"), data, resp.Header.Get("X-Routed-Replica")
+}
+
+// TestRoutedResultEncodingsBitIdentity sends a kernel job and a pyramid
+// job through the router with and without the binary Accept header. Both
+// encodings must carry results bit-identical to direct engine runs, the
+// router must echo the replica's Content-Type, the JSON answer must be
+// byte for byte what json.Encoder writes for the Result, and the Go
+// client must still read a daemon that ignores Accept and answers JSON.
+func TestRoutedResultEncodingsBitIdentity(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		urls = append(urls, startReplica(t).url())
+	}
+	rt, err := shard.NewRouter(shard.Config{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(shard.Handler(rt))
+	defer front.Close()
+
+	jobs := []struct {
+		p     serve.Params
+		n     int
+		truth []float64
+	}{
+		{p: serve.Params{Device: "vc4", Kernel: "saxpy", N: e2eN, Alpha: 0.25, Seed: 3}, n: e2eN},
+		{p: serve.Params{Device: "vc4", Pipeline: "pyramid", N: e2eN, Seed: 5}, n: e2eN / 8},
+	}
+	jobs[0].truth = directRun(t, jobs[0].p)
+	jobs[1].truth = directPyramidRun(t, jobs[1].p)
+
+	for _, j := range jobs {
+		body, err := json.Marshal(j.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for accept, wantCT := range map[string]string{"": "application/json", serve.ResultMediaType: serve.ResultMediaType} {
+			name := fmt.Sprintf("%s%s accept=%q", j.p.Kernel, j.p.Pipeline, accept)
+			ct, data, replica := postJob(t, front.URL, body, accept)
+			if ct != wantCT {
+				t.Errorf("%s: router Content-Type %q, want %q", name, ct, wantCT)
+			}
+			if replicaCT, _, _ := postJob(t, replica, body, accept); ct != replicaCT {
+				t.Errorf("%s: router Content-Type %q, replica's %q", name, ct, replicaCT)
+			}
+			res, err := serve.DecodeResult(ct, data)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.N != j.n || !sameBits(res.Out, j.truth) {
+				t.Errorf("%s: n=%d result differs from the direct run (n=%d)", name, res.N, j.n)
+			}
+			if accept == "" {
+				var enc bytes.Buffer
+				if err := json.NewEncoder(&enc).Encode(res); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, enc.Bytes()) {
+					t.Errorf("%s: JSON body is not json.Encoder's output for its Result", name)
+				}
+			}
+		}
+	}
+
+	// A daemon that predates the binary frame ignores Accept.
+	want := &serve.Result{Out: jobs[0].truth, N: e2eN, Device: "vc4", Kernel: "saxpy"}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(want)
+	}))
+	defer old.Close()
+	res, err := (&serve.Client{Base: old.URL}).Do(context.Background(), jobs[0].p)
+	if err != nil {
+		t.Fatalf("client against a JSON-only daemon: %v", err)
+	}
+	if res.N != e2eN || !sameBits(res.Out, want.Out) {
+		t.Error("client against a JSON-only daemon: result differs from the direct run")
 	}
 }

@@ -13,11 +13,6 @@ import (
 	"gles2gpgpu/internal/serve"
 )
 
-// maxJobBody bounds a routed job body: the largest admissible job is two
-// inline MaxJobSize² float64 matrices in JSON (~25 bytes per value), and
-// anything bigger is rejected before buffering.
-const maxJobBody = 2 * serve.MaxJobSize * serve.MaxJobSize * 32
-
 // Handler builds the router's HTTP API:
 //
 //	POST /v1/jobs          route a job (serve.Params JSON) to a replica
@@ -27,8 +22,10 @@ const maxJobBody = 2 * serve.MaxJobSize * serve.MaxJobSize * 32
 //	GET  /healthz          liveness
 //
 // The job endpoint speaks exactly the daemon's protocol — clients point
-// at the router instead of a backend and see the same statuses, bodies
-// and Retry-After pacing, now fleet-wide.
+// at the router instead of a backend and see the same statuses, bodies,
+// result encoding (the caller's Accept header goes to the replica and the
+// replica's Content-Type comes back) and Retry-After pacing, now
+// fleet-wide.
 func Handler(rt *Router) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -36,12 +33,12 @@ func Handler(rt *Router) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxJobBody+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxJobBody+1))
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}
-		if len(body) > maxJobBody {
+		if len(body) > serve.MaxJobBody {
 			http.Error(w, "job body too large", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -55,14 +52,14 @@ func Handler(rt *Router) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := rt.RouteRaw(r.Context(), key, body)
+		resp, err := rt.RouteRaw(r.Context(), key, body, r.Header.Get("Accept"))
 		switch {
 		case err == nil:
 			if resp.Status == http.StatusTooManyRequests && resp.RetryAfter != "" {
 				w.Header().Set("Retry-After", resp.RetryAfter)
 			}
-			if resp.Status == http.StatusOK {
-				w.Header().Set("Content-Type", "application/json")
+			if resp.ContentType != "" {
+				w.Header().Set("Content-Type", resp.ContentType)
 			}
 			w.Header().Set("X-Routed-Replica", resp.Replica)
 			w.Header().Set("X-Routed-Retries", fmt.Sprintf("%d", resp.Retries))
@@ -122,7 +119,7 @@ func ListenAndServe(ctx context.Context, addr string, rt *Router, ready chan<- s
 	}
 	rt.Start()
 	defer rt.Close()
-	srv := &http.Server{Handler: Handler(rt)}
+	srv := serve.NewHTTPServer(Handler(rt))
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {

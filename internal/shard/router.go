@@ -385,22 +385,27 @@ func (rt *Router) release(r *replica) {
 
 // backendResponse is a forwarded job's terminal outcome.
 type backendResponse struct {
-	Status     int
-	RetryAfter string // verbatim backend header, propagated on 429
-	Body       []byte
-	Replica    string
-	Retries    int
+	Status      int
+	RetryAfter  string // verbatim backend header, propagated on 429
+	ContentType string // verbatim backend header, echoed to the caller
+	Body        []byte
+	Replica     string
+	Retries     int
 }
 
-// forward sends the job body to one replica and classifies the result.
-// retryable reports transport errors and 5xx (the replica, not the job,
-// is suspect); everything else is terminal for the routing loop.
-func (rt *Router) forward(ctx context.Context, r *replica, body []byte) (resp *backendResponse, retryable bool, err error) {
+// forward sends the job body to one replica, asking for the result in
+// the accept media types, and classifies the result. retryable reports
+// transport errors and 5xx (the replica, not the job, is suspect);
+// everything else is terminal for the routing loop.
+func (rt *Router) forward(ctx context.Context, r *replica, body []byte, accept string) (resp *backendResponse, retryable bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.name+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	httpResp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -421,20 +426,23 @@ func (rt *Router) forward(ctx context.Context, r *replica, body []byte) (resp *b
 		return nil, true, fmt.Errorf("shard: %s: %s: %s", r.name, httpResp.Status, bytes.TrimSpace(data))
 	}
 	return &backendResponse{
-		Status:     httpResp.StatusCode,
-		RetryAfter: httpResp.Header.Get("Retry-After"),
-		Body:       data,
-		Replica:    r.name,
+		Status:      httpResp.StatusCode,
+		RetryAfter:  httpResp.Header.Get("Retry-After"),
+		ContentType: httpResp.Header.Get("Content-Type"),
+		Body:        data,
+		Replica:     r.name,
 	}, false, nil
 }
 
 // RouteRaw places one job (pre-encoded Params JSON with affinity key
-// already computed) and returns the backend's terminal response. On
-// transport errors and 5xx it retries within the budget, with jittered
-// exponential backoff, re-routing around replicas it has already tried
-// or ejected. 429 and 4xx propagate immediately: backpressure and
-// client errors must reach the caller undamped.
-func (rt *Router) RouteRaw(ctx context.Context, key string, body []byte) (*backendResponse, error) {
+// already computed) and returns the backend's terminal response. accept
+// is the caller's Accept header, passed to the replica verbatim so the
+// replica picks the result encoding. On transport errors and 5xx it
+// retries within the budget, with jittered exponential backoff,
+// re-routing around replicas it has already tried or ejected. 429 and
+// 4xx propagate immediately: backpressure and client errors must reach
+// the caller undamped.
+func (rt *Router) RouteRaw(ctx context.Context, key string, body []byte, accept string) (*backendResponse, error) {
 	r, err := rt.pick(key)
 	if err != nil {
 		rt.metrics.rejectLocked(err)
@@ -444,7 +452,7 @@ func (rt *Router) RouteRaw(ctx context.Context, key string, body []byte) (*backe
 	retries := 0
 	for {
 		tried[r.name] = true
-		resp, retryable, err := rt.forward(ctx, r, body)
+		resp, retryable, err := rt.forward(ctx, r, body, accept)
 		rt.release(r)
 		if err == nil {
 			rt.mu.Lock()
@@ -488,7 +496,7 @@ func (rt *Router) RouteRaw(ctx context.Context, key string, body []byte) (*backe
 }
 
 // Do places one job from Go (the bench and tests' entry point): encode,
-// route, decode. Backend 429s surface as *serve.RetryAfterError exactly
+// route asking for the binary result frame, decode. Backend 429s surface as *serve.RetryAfterError exactly
 // like the direct client, so callers pace identically with or without
 // the router in front.
 func (rt *Router) Do(ctx context.Context, p serve.Params) (*serve.Result, error) {
@@ -500,17 +508,13 @@ func (rt *Router) Do(ctx context.Context, p serve.Params) (*serve.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := rt.RouteRaw(ctx, key, body)
+	resp, err := rt.RouteRaw(ctx, key, body, serve.ResultMediaType)
 	if err != nil {
 		return nil, err
 	}
 	switch resp.Status {
 	case http.StatusOK:
-		var res serve.Result
-		if err := json.Unmarshal(resp.Body, &res); err != nil {
-			return nil, err
-		}
-		return &res, nil
+		return serve.DecodeResult(resp.ContentType, resp.Body)
 	case http.StatusTooManyRequests:
 		after := time.Second
 		if secs, err := strconv.Atoi(resp.RetryAfter); err == nil && secs > 0 {

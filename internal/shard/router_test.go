@@ -50,10 +50,16 @@ func newFakeBackend() *fakeBackend {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(serve.Result{Out: []float64{float64(p.N)}, N: p.N, Kernel: p.Kernel, Device: p.Device})
+		json.NewEncoder(w).Encode(fakeResult(p))
 	})
 	b.srv = httptest.NewServer(mux)
 	return b
+}
+
+// fakeResult is a well-formed Result for p: N×N values, as
+// serve.DecodeResult requires.
+func fakeResult(p serve.Params) serve.Result {
+	return serve.Result{Out: make([]float64, p.N*p.N), N: p.N, Kernel: p.Kernel, Device: p.Device}
 }
 
 func (b *fakeBackend) URL() string { return b.srv.URL }
@@ -176,7 +182,7 @@ func TestRouterAdmissionControl(t *testing.T) {
 	defer b.srv.Close()
 	b.handle = func(w http.ResponseWriter, p serve.Params) {
 		<-release
-		json.NewEncoder(w).Encode(serve.Result{Out: []float64{1}, N: p.N})
+		json.NewEncoder(w).Encode(fakeResult(p))
 	}
 	rt, err := NewRouter(Config{Replicas: []string{b.URL()}, MaxInFlight: 1})
 	if err != nil {
