@@ -66,6 +66,9 @@ func cohRunCell(t *testing.T, c cohCell, n, iters int,
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
+	// NoCoherence only turns the cache off; set it either way so the
+	// environment default cannot override the cell.
+	e.GL().SetCoherence(c.coherence)
 	state, err := run(e, iters)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)

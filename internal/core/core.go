@@ -306,6 +306,43 @@ func (e *Engine) LaneFallbackDraws() int64 { return e.gl.LaneFallbackDraws() }
 // Now returns the virtual CPU time.
 func (e *Engine) Now() timing.Time { return e.Machine().Now() }
 
+// Snapshot is the engine's timing state at an iteration boundary, for
+// steady-state extrapolation: the machine's snapshot plus the EGL
+// back-buffer index, the engine state that alternates between iterations
+// and decides which surface buffer a framebuffer-target draw renders to.
+// Runner state is not included: callers compare boundaries at which their
+// runner's own state repeats (see SumRunner and SgemmRunner).
+type Snapshot struct {
+	machine gpu.Snapshot
+	back    int
+}
+
+// Snapshot captures the engine's timing state (see gpu.Machine.Snapshot).
+func (e *Engine) Snapshot() Snapshot {
+	// Only presentation waits on vsync ticks (egl.Context.SwapBuffers).
+	vsync := e.cfg.Swap != SwapNone && e.ectx.SwapIntervalValue() > 0
+	return Snapshot{machine: e.Machine().Snapshot(vsync), back: e.surf.Back()}
+}
+
+// Now is the virtual CPU time at the snapshot.
+func (s Snapshot) Now() timing.Time { return s.machine.Now() }
+
+// Repeats reports whether s and o hold the same timing state up to an
+// offset of virtual time.
+func (s Snapshot) Repeats(o Snapshot) bool {
+	return s.back == o.back && s.machine.Repeats(o.machine)
+}
+
+// Shift skips k periods of the iterations between from and to, leaving
+// the engine as if they had run (see gpu.Machine.Shift). The engine must
+// be in state to.
+func (e *Engine) Shift(k int64, from, to Snapshot) error {
+	if from.back != to.back || e.surf.Back() != to.back {
+		return fmt.Errorf("core: shift across different back buffers")
+	}
+	return e.Machine().Shift(k, from.machine, to.machine)
+}
+
 // SetTimingOnly switches the underlying GL into timing-replay mode (see
 // gles.Context.SetTimingOnly).
 func (e *Engine) SetTimingOnly(on bool) { e.gl.SetTimingOnly(on) }

@@ -57,7 +57,8 @@ type Surface struct {
 	window bool
 
 	// bufRes are the scheduling handles of the colour buffers; pixels are
-	// the functional backing stores (RGBA8888).
+	// the functional backing stores (RGBA8888), allocated on first use so
+	// timing-only replays never pay for them.
 	bufRes [2]gpu.ResID
 	pixels [2][]byte
 	back   int
@@ -88,11 +89,9 @@ func (d *Display) createSurface(w, h int, window bool) (*Surface, error) {
 	}
 	for i := 0; i < n; i++ {
 		s.bufRes[i] = d.Machine.NewResource(fmt.Sprintf("surface%dx%d.buf%d", w, h, i))
-		s.pixels[i] = make([]byte, w*h*4)
 	}
 	if !window {
 		s.bufRes[1] = s.bufRes[0]
-		s.pixels[1] = s.pixels[0]
 	}
 	return s, nil
 }
@@ -105,14 +104,30 @@ func (s *Surface) IsWindow() bool { return s.window }
 // render target).
 func (s *Surface) BackRes() gpu.ResID { return s.bufRes[s.back] }
 
+// Back returns the index of the current back buffer (0 or 1; always 0 for
+// a pbuffer).
+func (s *Surface) Back() int { return s.back }
+
 // BackPixels returns the functional pixel store of the current back buffer.
-func (s *Surface) BackPixels() []byte { return s.pixels[s.back] }
+func (s *Surface) BackPixels() []byte { return s.store(s.back) }
 
 // FrontRes returns the displayed buffer's handle.
 func (s *Surface) FrontRes() gpu.ResID { return s.bufRes[1-s.back] }
 
 // FrontPixels returns the displayed buffer's pixel store.
-func (s *Surface) FrontPixels() []byte { return s.pixels[1-s.back] }
+func (s *Surface) FrontPixels() []byte { return s.store(1 - s.back) }
+
+// store returns buffer i's pixel store, allocating it on first use. A
+// pbuffer's two views share buffer 0.
+func (s *Surface) store(i int) []byte {
+	if !s.window {
+		i = 0
+	}
+	if s.pixels[i] == nil {
+		s.pixels[i] = make([]byte, s.W*s.H*4)
+	}
+	return s.pixels[i]
+}
 
 // Swaps reports how many times the surface has been presented.
 func (s *Surface) Swaps() int64 { return s.swaps }

@@ -120,7 +120,11 @@ func (c *Context) DrawArrays(mode Enum, first, count int) {
 			c.submitJob(p, tgt, st, reads, verticesReady, count, extraCPU)
 			return
 		}
-		// No cached measurement: fall through to a functional draw.
+		// No cached measurement: fall through to a functional draw, which
+		// needs the surface pixels currentTarget leaves out in this mode.
+		if tgt.tex == nil {
+			tgt.pixels = c.eglCtx.Draw.BackPixels()
+		}
 	}
 
 	st := c.executeDraw(p, tgt, mode, first, count, samplers)

@@ -115,7 +115,13 @@ func (c *Context) currentTarget() (renderTarget, bool) {
 	if s == nil {
 		return renderTarget{}, false
 	}
-	return renderTarget{res: s.BackRes(), pixels: s.BackPixels(), w: s.W, h: s.H}, true
+	tgt := renderTarget{res: s.BackRes(), w: s.W, h: s.H}
+	if !c.timingOnly {
+		// Timing-only replays never touch pixels: leaving them unfetched
+		// keeps the surface from allocating its buffers.
+		tgt.pixels = s.BackPixels()
+	}
+	return tgt, true
 }
 
 // Clear fills the target with the clear colour. Beyond the functional fill,

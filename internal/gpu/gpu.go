@@ -89,6 +89,10 @@ type Machine struct {
 	outstanding []timing.Time // FP completion times of in-flight frames
 }
 
+// The in-flight frame list is trimmed to its last outstandingKeep entries
+// once it grows past outstandingCap.
+const outstandingCap, outstandingKeep = 64, 8
+
 // New returns an idle machine for the given profile.
 func New(prof *device.Profile) *Machine {
 	return &Machine{
@@ -161,7 +165,9 @@ func (m *Machine) Upload(dst ResID, n int, overwrite bool) {
 	m.Stats.UploadBytes += int64(n)
 	if m.Prof.UploadAsync {
 		start, end := m.upEng.Schedule(earliest, n)
-		m.Trace.Add("upload", fmt.Sprintf("upload %dB -> %s", n, m.res(dst).label), start, end)
+		if m.Trace.Enabled() {
+			m.Trace.Add("upload", fmt.Sprintf("upload %dB -> %s", n, m.res(dst).label), start, end)
+		}
 		r := m.res(dst)
 		r.readyAt = end
 		r.writerJob = 0
@@ -172,7 +178,9 @@ func (m *Machine) Upload(dst ResID, n int, overwrite bool) {
 	dur := m.Prof.UploadBus.TransferTime(n)
 	start := m.CPU.Now()
 	m.CPU.Advance(dur)
-	m.Trace.Add("cpu", fmt.Sprintf("upload %dB -> %s", n, m.res(dst).label), start, m.CPU.Now())
+	if m.Trace.Enabled() {
+		m.Trace.Add("cpu", fmt.Sprintf("upload %dB -> %s", n, m.res(dst).label), start, m.CPU.Now())
+	}
 	r := m.res(dst)
 	r.readyAt = m.CPU.Now()
 	r.writerJob = 0
@@ -299,7 +307,9 @@ func (m *Machine) Draw(job DrawJob) DrawResult {
 	fpDur := timing.Max(compute, memTime)
 
 	fpStart, fpEnd := m.fp.Acquire(timing.Max(depStart, m.lastFPEnd), fpDur)
-	m.Trace.Add("fp", fmt.Sprintf("draw#%d -> %s", jobID, target.label), fpStart, fpEnd)
+	if m.Trace.Enabled() {
+		m.Trace.Add("fp", fmt.Sprintf("draw#%d -> %s", jobID, target.label), fpStart, fpEnd)
+	}
 
 	// Bookkeeping.
 	for _, rid := range job.Reads {
@@ -315,8 +325,8 @@ func (m *Machine) Draw(job DrawJob) DrawResult {
 	m.lastFPJob = jobID
 	m.lastFPEnd = fpEnd
 	m.outstanding = append(m.outstanding, fpEnd)
-	if len(m.outstanding) > 64 {
-		m.outstanding = append(m.outstanding[:0], m.outstanding[len(m.outstanding)-8:]...)
+	if len(m.outstanding) > outstandingCap {
+		m.outstanding = append(m.outstanding[:0], m.outstanding[len(m.outstanding)-outstandingKeep:]...)
 	}
 
 	if !m.Prof.Deferred {
@@ -393,7 +403,9 @@ func (m *Machine) Copy(src, dst ResID, n int, overwrite bool) {
 		dur = s.readyAt + m.Prof.CopyEngine.Latency - earliest
 	}
 	start, end := m.copyEng.ScheduleDuration(earliest, dur)
-	m.Trace.Add("copy", fmt.Sprintf("copy %dB %s->%s", n, s.label, m.res(dst).label), start, end)
+	if m.Trace.Enabled() {
+		m.Trace.Add("copy", fmt.Sprintf("copy %dB %s->%s", n, s.label, m.res(dst).label), start, end)
+	}
 	if m.Prof.CopyBlocksCPU {
 		m.CPU.AdvanceTo(end)
 	}
@@ -428,7 +440,9 @@ func (m *Machine) Readback(src ResID, n int) {
 	m.WaitAll() // GLES2 ReadPixels implies a full finish on these drivers
 	start := m.CPU.Now()
 	m.CPU.Advance(m.Prof.UploadBus.TransferTime(n))
-	m.Trace.Add("cpu", fmt.Sprintf("readpixels %dB", n), start, m.CPU.Now())
+	if m.Trace.Enabled() {
+		m.Trace.Add("cpu", fmt.Sprintf("readpixels %dB", n), start, m.CPU.Now())
+	}
 	r := m.res(src)
 	if m.CPU.Now() > r.lastRead {
 		r.lastRead = m.CPU.Now()

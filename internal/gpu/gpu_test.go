@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"gles2gpgpu/internal/device"
@@ -328,16 +329,52 @@ func TestTraceRecordsPipelineSpans(t *testing.T) {
 	m.Clear(tgt)
 	m.Draw(drawJob(tgt, in))
 	m.Copy(tgt, tex, 1<<16, false)
-	kinds := map[string]bool{}
+	m.Readback(tex, 1<<10)
+	var got []string
 	for _, e := range m.Trace.Events() {
-		kinds[e.Resource] = true
+		got = append(got, e.Resource+": "+e.Name)
 		if e.End < e.Start {
 			t.Errorf("span %q ends before it starts", e.Name)
 		}
 	}
-	for _, want := range []string{"fp", "copy"} {
-		if !kinds[want] {
-			t.Errorf("no %q spans recorded: %v", want, kinds)
+	want := []string{
+		"cpu: upload 65536B -> in",
+		"fp: draw#1 -> fb",
+		"copy: copy 65536B fb->tex",
+		"cpu: readpixels 1024B",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("spans %q, want %q", got, want)
+	}
+	// The asynchronous upload path labels its span the same way.
+	m = New(device.VideoCoreIV())
+	m.Trace.Enable(true)
+	m.Upload(m.NewResource("in"), 1<<16, false)
+	if ev := m.Trace.Events(); len(ev) != 1 || ev[0].Resource != "upload" || ev[0].Name != "upload 65536B -> in" {
+		t.Errorf("async upload spans %+v", ev)
+	}
+}
+
+// TestDisabledTraceCostsNoAllocations pins that the span labels are only
+// formatted for an enabled trace: scheduling calls allocate nothing.
+func TestDisabledTraceCostsNoAllocations(t *testing.T) {
+	// VideoCore uploads through its DMA engine, SGX on the CPU: both paths.
+	for _, prof := range []*device.Profile{device.VideoCoreIV(), device.PowerVRSGX545()} {
+		m := New(prof)
+		fb, tex, in := m.NewResource("fb"), m.NewResource("tex"), m.NewResource("in")
+		job := drawJob(fb, in)
+		for i := 0; i < 2*outstandingCap; i++ {
+			m.Draw(job) // grow the in-flight list to its trimmed capacity
+		}
+		calls := map[string]func(){
+			"Draw":   func() { m.Draw(job) },
+			"Copy":   func() { m.Copy(fb, tex, 1<<16, false) },
+			"Upload": func() { m.Upload(in, 1<<16, true) },
+		}
+		for name, call := range calls {
+			if n := testing.AllocsPerRun(200, call); n != 0 {
+				t.Errorf("%s: %s allocates %v times per call with tracing off", prof.Name, name, n)
+			}
 		}
 	}
 }

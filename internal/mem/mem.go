@@ -183,5 +183,8 @@ func (d *DMA) FreeAt() timing.Time { return d.res.FreeAt() }
 // BusyTotal reports accumulated transfer time.
 func (d *DMA) BusyTotal() timing.Time { return d.res.BusyTotal() }
 
+// Timeline exposes the engine's resource timeline.
+func (d *DMA) Timeline() *timing.Resource { return d.res }
+
 // Reset returns the engine to idle at time zero.
 func (d *DMA) Reset() { d.res.Reset() }

@@ -46,6 +46,16 @@ func (r *Resource) BusyTotal() Time { return r.busyTotal }
 // Jobs reports how many tasks have been scheduled on the resource.
 func (r *Resource) Jobs() int64 { return r.jobs }
 
+// Shift moves the resource forward as if more work had run on it: its
+// busy-until horizon by dt, its busy total by busy and its task count by
+// jobs. The timing model uses it to skip whole periods of a proven steady
+// state.
+func (r *Resource) Shift(dt, busy Time, jobs int64) {
+	r.busyUntil += dt
+	r.busyTotal += busy
+	r.jobs += jobs
+}
+
 // Reset returns the resource to its initial idle state.
 func (r *Resource) Reset() {
 	r.busyUntil = 0
