@@ -33,10 +33,11 @@ type AblationResult struct {
 // Ablation runs the mechanism study on a copy of the given profile.
 func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult, error) {
 	res := &AblationResult{Device: dev.Name}
+	memo := calibrations{}
 
 	run := func(p *device.Profile, cfg core.Config, spec Spec) (timing.Time, error) {
 		cfg.Device = p
-		r, err := Measure(ctx, cfg, spec, o)
+		r, err := measure(ctx, memo, cfg, spec, o)
 		if err != nil {
 			return 0, err
 		}
@@ -46,6 +47,9 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 		c := *dev
 		return &c
 	}
+	// Every run without a perturbed mechanism shares one copy, so those
+	// runs share their calibrations too.
+	modelled := clone()
 	texCfg := core.Config{Swap: core.SwapNone, Target: core.TargetTexture, UseVBO: true}
 	fbCfg := core.Config{Swap: core.SwapNone, Target: core.TargetFramebuffer, UseVBO: true}
 	sgemm := Spec{Workload: WSgemm, Block: 16}
@@ -60,7 +64,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 1. Deferred frame overlap: without it the CPU waits for every
 	// frame, killing the pipelining that makes no-swap sum fast.
-	base, err := run(clone(), texCfg, sum)
+	base, err := run(modelled, texCfg, sum)
 	if err != nil {
 		return nil, fmt.Errorf("ablation deferred: %w", err)
 	}
@@ -74,7 +78,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 2. Copy streaming: the DMA engine transferring tiles behind the
 	// renderer is what keeps framebuffer rendering viable for sgemm.
-	base, err = run(clone(), fbCfg, sgemm)
+	base, err = run(modelled, fbCfg, sgemm)
 	if err != nil {
 		return nil, err
 	}
@@ -93,13 +97,13 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 3. Target invalidation (glClear): without it every pass reloads the
 	// previous frame's tiles from memory and carries a frame dependency.
-	base, err = run(clone(), texCfg, sum)
+	base, err = run(modelled, texCfg, sum)
 	if err != nil {
 		return nil, err
 	}
 	noClear := texCfg
 	noClear.InvalidateTarget = new(bool) // false
-	abl, err = run(clone(), noClear, sum)
+	abl, err = run(modelled, noClear, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +111,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 4. Deferred-flush penalty: the bubble cost is what texture-rendered
 	// multi-pass sgemm pays per pass.
-	base, err = run(clone(), texCfg, sgemm)
+	base, err = run(modelled, texCfg, sgemm)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +124,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 	add("dependency flush penalty (sgemm, texture)", base, abl)
 
 	// 5. Driver queue depth: restricting the CPU to lockstep submission.
-	base, err = run(clone(), texCfg, sum)
+	base, err = run(modelled, texCfg, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +140,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 	// (binning/bookkeeping pressure shows up in stats; time shifts only
 	// via per-tile constants, so this row doubles as a regression check
 	// that tile size does not distort bandwidth accounting).
-	base, err = run(clone(), texCfg, sgemm)
+	base, err = run(modelled, texCfg, sgemm)
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,7 @@ type Fig3Result struct {
 // Fig3 reproduces "Effect of Vsync for sum and sgemm": baseline →
 // eglSwapInterval(0) → no eglSwapBuffers → no swap + fp24 kernel.
 func Fig3(ctx context.Context, devs []*device.Profile, o Opts) (*Fig3Result, error) {
+	memo := calibrations{}
 	res := &Fig3Result{
 		Configs: []string{"baseline", "eglSwapInterval(0)", "No eglSwapBuffers", "No eglSwapBuffers and fp24 kernel"},
 		Speedup: map[string][]float64{},
@@ -77,7 +78,7 @@ func Fig3(ctx context.Context, devs []*device.Profile, o Opts) (*Fig3Result, err
 			for _, mut := range steps {
 				cfg := bestPractices(dev)
 				mut(&cfg)
-				r, err := Measure(ctx, cfg, spec, o)
+				r, err := measure(ctx, memo, cfg, spec, o)
 				if err != nil {
 					return nil, fmt.Errorf("fig3 %s: %w", series, err)
 				}
@@ -128,6 +129,7 @@ type VBOResult struct {
 // FigVBO reproduces the Vertex Buffer Object result: sum with client-side
 // arrays versus VBOs under each usage hint (paper: up to 1.5%).
 func FigVBO(ctx context.Context, devs []*device.Profile, o Opts) (*VBOResult, error) {
+	memo := calibrations{}
 	res := &VBOResult{
 		Labels:  []string{"client arrays", "VBO STATIC_DRAW", "VBO STREAM_DRAW", "VBO DYNAMIC_DRAW"},
 		Speedup: map[string][]float64{},
@@ -144,7 +146,7 @@ func FigVBO(ctx context.Context, devs []*device.Profile, o Opts) (*VBOResult, er
 			cfg := bestPractices(dev)
 			cfg.Swap = core.SwapNone
 			mut(&cfg)
-			r, err := Measure(ctx, cfg, Spec{Workload: WSum}, o)
+			r, err := measure(ctx, memo, cfg, Spec{Workload: WSum}, o)
 			if err != nil {
 				return nil, fmt.Errorf("vbo: %w", err)
 			}
@@ -193,6 +195,7 @@ type Fig4aResult struct {
 // Fig4a reproduces "FB vs Texture Rendering" on the optimised versions:
 // sum, sum with an artificial dependency, and sgemm (block 16).
 func Fig4a(ctx context.Context, devs []*device.Profile, o Opts) (*Fig4aResult, error) {
+	memo := calibrations{}
 	res := &Fig4aResult{Times: map[string]timing.Time{}, TexOverFB: map[string]map[string]float64{}}
 	specs := []Spec{{Workload: WSum}, {Workload: WSumDep}, {Workload: WSgemm, Block: 16}}
 	for _, dev := range devs {
@@ -205,7 +208,7 @@ func Fig4a(ctx context.Context, devs []*device.Profile, o Opts) (*Fig4aResult, e
 				// Optimised versions: no presentation in either mode (the
 				// best Fig. 3 configuration carries over).
 				cfg.Swap = core.SwapNone
-				r, err := Measure(ctx, cfg, spec, o)
+				r, err := measure(ctx, memo, cfg, spec, o)
 				if err != nil {
 					return nil, fmt.Errorf("fig4a %s %s: %w", dev.Name, spec.Workload, err)
 				}
@@ -247,6 +250,7 @@ type Fig4bResult struct {
 // Fig4b reproduces "Blocking in sgemm": block sizes 1..16 under both
 // rendering targets, plus the >16 compile failures.
 func Fig4b(ctx context.Context, devs []*device.Profile, o Opts) (*Fig4bResult, error) {
+	memo := calibrations{}
 	res := &Fig4bResult{
 		Blocks:      []int{1, 2, 4, 8, 16},
 		Times:       map[string]map[string][]timing.Time{},
@@ -261,7 +265,7 @@ func Fig4b(ctx context.Context, devs []*device.Profile, o Opts) (*Fig4bResult, e
 				cfg := bestPractices(dev)
 				cfg.Target = target
 				cfg.Swap = core.SwapNone
-				r, err := Measure(ctx, cfg, Spec{Workload: WSgemm, Block: block}, o)
+				r, err := measure(ctx, memo, cfg, Spec{Workload: WSgemm, Block: block}, o)
 				if err != nil {
 					return nil, fmt.Errorf("fig4b %s block %d: %w", dev.Name, block, err)
 				}
@@ -273,7 +277,7 @@ func Fig4b(ctx context.Context, devs []*device.Profile, o Opts) (*Fig4bResult, e
 		for _, block := range []int{32, 64} {
 			cfg := bestPractices(dev)
 			cfg.Swap = core.SwapNone
-			if _, err := Measure(ctx, cfg, Spec{Workload: WSgemm, Block: block}, o); err != nil {
+			if _, err := measure(ctx, memo, cfg, Spec{Workload: WSgemm, Block: block}, o); err != nil {
 				res.CompileFail[dn] = append(res.CompileFail[dn], block)
 			}
 		}
@@ -319,6 +323,7 @@ type Fig5Result struct {
 // the given rendering target (Fig. 5a: texture rendering, Fig. 5b:
 // framebuffer rendering), block size 16, streaming inputs.
 func Fig5(ctx context.Context, devs []*device.Profile, target core.RenderTarget, o Opts) (*Fig5Result, error) {
+	memo := calibrations{}
 	res := &Fig5Result{Target: target, Speedup: map[string]map[string]float64{}}
 	for _, dev := range devs {
 		dn := shortName(dev)
@@ -334,7 +339,7 @@ func Fig5(ctx context.Context, devs []*device.Profile, target core.RenderTarget,
 					cfg.ReuseOutputTextures = reuse
 				}
 				cfg.ReuseInputTextures = reuse
-				r, err := Measure(ctx, cfg, spec, o)
+				r, err := measure(ctx, memo, cfg, spec, o)
 				if err != nil {
 					return nil, fmt.Errorf("fig5 %s %s reuse=%v: %w", dev.Name, spec.Workload, reuse, err)
 				}

@@ -106,9 +106,10 @@ func incrementalSteps() []struct {
 // Incremental runs the journey for one device and workload.
 func Incremental(ctx context.Context, dev *device.Profile, spec Spec, o Opts) (*IncrementalResult, error) {
 	res := &IncrementalResult{Device: shortName(dev), Workload: spec.Workload.String()}
+	memo := calibrations{}
 
 	best := naiveConfig(dev)
-	r, err := Measure(ctx, best, spec, o)
+	r, err := measure(ctx, memo, best, spec, o)
 	if err != nil {
 		return nil, fmt.Errorf("incremental naive: %w", err)
 	}
@@ -118,7 +119,7 @@ func Incremental(ctx context.Context, dev *device.Profile, spec Spec, o Opts) (*
 	for _, step := range incrementalSteps() {
 		cfg := best
 		step.mut(&cfg)
-		r, err := Measure(ctx, cfg, spec, o)
+		r, err := measure(ctx, memo, cfg, spec, o)
 		if err != nil {
 			return nil, fmt.Errorf("incremental step %q: %w", step.name, err)
 		}

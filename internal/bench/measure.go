@@ -11,7 +11,10 @@
 // the paper's 1024×1024 size for the configured repetition count. That
 // simulation stops replaying once two iteration boundaries prove the
 // machine repeats, and shifts it over the remaining whole periods (see
-// replay): the result equals the full replay's exactly.
+// replay): the result equals the full replay's exactly. A figure validates
+// each distinct functional configuration once: configurations that differ
+// only in fields that shape the timing model share one calibration (see
+// calibKey).
 package bench
 
 import (
@@ -118,7 +121,8 @@ type Result struct {
 	Stats gpu.Stats
 	// HostTime is the host wall-clock time of the functional calibration
 	// run — the part parallel shading accelerates. Purely informational;
-	// it never feeds the virtual-time model.
+	// it never feeds the virtual-time model. It is zero when a figure
+	// reused an earlier calibration of the same functional configuration.
 	HostTime time.Duration
 }
 
@@ -196,12 +200,18 @@ func build(cfg core.Config, spec Spec, n int, seed int64, timingOnly bool) (*bui
 
 // Measure runs one configuration per the package methodology. ctx cancels
 // the measurement between iterations (and between the passes of multi-pass
-// workloads, via Runner.RunOnce).
+// workloads, via Runner.RunOnce). Every call runs its own functional
+// calibration.
 func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, error) {
-	o = o.withDefaults()
-	var res Result
+	return measure(ctx, nil, cfg, spec, o)
+}
 
-	// Functional calibration + validation.
+// measure is Measure with the functional calibration taken from memo when
+// an earlier call stored one under the same key. A non-nil memo receives
+// every successful calibration; failures are never stored, so a failing
+// configuration fails again on every call.
+func measure(ctx context.Context, memo calibrations, cfg core.Config, spec Spec, o Opts) (Result, error) {
+	o = o.withDefaults()
 	if o.Workers != 0 {
 		cfg.Workers = o.Workers
 	}
@@ -211,39 +221,113 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 	if o.NoCoherence {
 		cfg.NoCoherence = true
 	}
+	key := keyOf(cfg, spec, o)
+	cal, reused := memo[key]
+	if !reused {
+		var err error
+		if cal, err = calibrate(ctx, cfg, spec, o); err != nil {
+			return Result{ValidationErr: cal.validationErr, HostTime: cal.hostTime}, err
+		}
+		if memo != nil {
+			memo[key] = cal
+		}
+	}
+	res, err := timeAtPaperSize(ctx, cfg, spec, o, cal)
+	res.ValidationErr = cal.validationErr
+	if !reused {
+		res.HostTime = cal.hostTime
+	}
+	if err != nil {
+		return res, err
+	}
+	if observe != nil {
+		observe(cfg, spec, res)
+	}
+	return res, nil
+}
+
+// calibration is what a functional calibration run hands the timing
+// replay: the per-draw fragment, cycle and texture-fetch counts at the
+// calibration size, and the validation error against the CPU reference.
+type calibration struct {
+	frags, cycles, tex int64
+	validationErr      float64
+	hostTime           time.Duration
+}
+
+// calibKey identifies a functional calibration. It is the configuration
+// with every field reset that only shapes the timing model, never the
+// functional run: presentation, render target, vertex source, input
+// streaming, texture reuse and target invalidation. Every other field,
+// including any added later, stays in the key; Device compares by pointer.
+// TestCalibrationReuseMatchesFreshMeasure checks that configurations
+// sharing a key calibrate to byte-identical output and equal counts.
+type calibKey struct {
+	cfg            core.Config
+	spec           Spec
+	size           int
+	seed           int64
+	skipValidation bool
+}
+
+func keyOf(cfg core.Config, spec Spec, o Opts) calibKey {
+	cfg.Swap, cfg.Target = 0, 0
+	cfg.UseVBO, cfg.VBOUsage = false, 0
+	cfg.StreamInputs = false
+	cfg.ReuseInputTextures, cfg.ReuseOutputTextures = false, false
+	cfg.InvalidateTarget, cfg.UseDiscardExtension = nil, false
+	return calibKey{cfg: cfg, spec: spec, size: o.CalibSize, seed: o.Seed, skipValidation: o.SkipValidation}
+}
+
+// calibrations holds the successful calibrations of one figure call.
+type calibrations map[calibKey]calibration
+
+// calibrate is Measure's first step: one functional iteration at the
+// calibration size, validated against the CPU reference.
+func calibrate(ctx context.Context, cfg core.Config, spec Spec, o Opts) (calibration, error) {
+	var c calibration
 	hostStart := time.Now()
 	cal, err := build(cfg, spec, o.CalibSize, o.Seed, false)
 	if err != nil {
-		return res, fmt.Errorf("bench: calibration: %w", err)
+		return c, fmt.Errorf("bench: calibration: %w", err)
 	}
 	if err := cal.runner.RunOnce(ctx); err != nil {
-		return res, fmt.Errorf("bench: calibration run: %w", err)
+		return c, fmt.Errorf("bench: calibration run: %w", err)
 	}
-	res.HostTime = time.Since(hostStart)
+	c.hostTime = time.Since(hostStart)
 	if !o.SkipValidation {
 		got, err := cal.runner.Result()
 		if err != nil {
-			return res, err
+			return c, err
 		}
-		res.ValidationErr = ref.MaxAbsDiff(cal.wantRef(), got.Data)
+		c.validationErr = ref.MaxAbsDiff(cal.wantRef(), got.Data)
 		tol := validationTolerance(spec, o.CalibSize)
-		if res.ValidationErr > tol {
-			return res, fmt.Errorf("bench: validation failed: max error %g > %g", res.ValidationErr, tol)
+		if c.validationErr > tol {
+			return c, fmt.Errorf("bench: validation failed: max error %g > %g", c.validationErr, tol)
 		}
 	}
-	frags, cycles, tex, ok := cal.engine.GL().DrawStatsFor(cal.kernel.Program(), o.CalibSize, o.CalibSize)
-	if !ok || frags == 0 {
-		return res, fmt.Errorf("bench: no draw stats measured")
+	var ok bool
+	c.frags, c.cycles, c.tex, ok = cal.engine.GL().DrawStatsFor(cal.kernel.Program(), o.CalibSize, o.CalibSize)
+	if !ok || c.frags == 0 {
+		return c, fmt.Errorf("bench: no draw stats measured")
 	}
+	if calibrated != nil {
+		calibrated(cal.runner, c)
+	}
+	return c, nil
+}
 
-	// Paper-size timing simulation.
+// timeAtPaperSize is Measure's second step: the timing-only replay at the
+// paper size, driven by the calibration's counts scaled to that size.
+func timeAtPaperSize(ctx context.Context, cfg core.Config, spec Spec, o Opts, cal calibration) (Result, error) {
+	var res Result
 	paper, err := build(cfg, spec, o.PaperSize, o.Seed, true)
 	if err != nil {
 		return res, fmt.Errorf("bench: timing build: %w", err)
 	}
 	n2 := int64(o.PaperSize) * int64(o.PaperSize)
 	paper.engine.GL().PrimeStats(paper.kernel.Program(), o.PaperSize, o.PaperSize,
-		n2, cycles*n2/frags, tex*n2/frags)
+		n2, cal.cycles*n2/cal.frags, cal.tex*n2/cal.frags)
 	t0, err := replay(ctx, paper.engine, paper.runner, o.Warm, o.Iters)
 	if err != nil {
 		return res, err
@@ -251,9 +335,6 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 	paper.engine.Finish()
 	res.PerIteration = (paper.engine.Now() - t0) / timing.Time(o.Iters)
 	res.Stats = paper.engine.Machine().Stats
-	if observe != nil {
-		observe(cfg, spec, res)
-	}
 	return res, nil
 }
 
@@ -263,6 +344,11 @@ var extrapolate = true
 
 // observe, when set by a test, receives every Result Measure returns.
 var observe func(core.Config, Spec, Result)
+
+// calibrated, when set by a test, receives every successful functional
+// calibration run: its runner, which still holds the output, and its
+// counts.
+var calibrated func(core.Runner, calibration)
 
 // replay runs warm+iters iterations of r on the timing-only engine e and
 // returns the virtual time at the end of the warm-ups.

@@ -12,6 +12,8 @@ import (
 // failures (it prints pointers, which differ between runs).
 type measured struct {
 	config string
+	cfg    core.Config
+	spec   Spec
 	res    Result
 }
 
@@ -23,7 +25,7 @@ func measureAll(t *testing.T, o Opts, extrapolating bool) []measured {
 	extrapolate = extrapolating
 	observe = func(cfg core.Config, spec Spec, r Result) {
 		r.HostTime = 0 // host wall clock, the one field allowed to differ
-		out = append(out, measured{fmt.Sprintf("%s %+v %+v", cfg.Device.Name, spec, cfg), r})
+		out = append(out, measured{fmt.Sprintf("%s %+v %+v", cfg.Device.Name, spec, cfg), cfg, spec, r})
 	}
 	defer func() { extrapolate, observe = true, nil }()
 

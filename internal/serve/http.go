@@ -26,12 +26,12 @@ func Handler(s *Scheduler) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		if r.ContentLength > MaxJobBody {
+		if r.ContentLength > maxJobBody {
 			http.Error(w, "job body too large", http.StatusRequestEntityTooLarge)
 			return
 		}
 		var p Params
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobBody)).Decode(&p); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&p); err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				http.Error(w, "job body too large", http.StatusRequestEntityTooLarge)
@@ -109,6 +109,10 @@ const idleTimeout = 2 * time.Minute
 
 // readHeaderTimeout is a variable only so tests can shorten it.
 var readHeaderTimeout = 10 * time.Second
+
+// maxJobBody is the daemon's job body cap, MaxJobBody; a variable only so
+// tests can shrink it.
+var maxJobBody int64 = MaxJobBody
 
 // NewHTTPServer returns an http.Server for h with the service's
 // connection timeouts, so a client that opens a connection and stalls

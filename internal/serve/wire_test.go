@@ -275,6 +275,47 @@ func TestJobBodyOverCapIsRejected(t *testing.T) {
 	}
 }
 
+// TestChunkedJobBodyOverCapIsRejected posts bodies without a
+// Content-Length, so only the handler's MaxBytesReader can enforce the cap.
+func TestChunkedJobBodyOverCapIsRejected(t *testing.T) {
+	defer func(n int64) { maxJobBody = n }(maxJobBody)
+	maxJobBody = 4 << 10
+
+	s, err := New(Config{Devices: []string{"vc4"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	h := Handler(s)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != -1 {
+			t.Errorf("request has Content-Length %d, want a chunked body", r.ContentLength)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"whitespace over the cap", io.LimitReader(endless{}, 2*maxJobBody), http.StatusRequestEntityTooLarge},
+		{"malformed JSON under the cap", strings.NewReader(`{"kernel": "sum", "n": }`), http.StatusBadRequest},
+	} {
+		// io.MultiReader hides the body's length, so the client sends it
+		// chunked.
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", io.MultiReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestServerClosesStalledRequestHeader(t *testing.T) {
 	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
 	readHeaderTimeout = 100 * time.Millisecond
