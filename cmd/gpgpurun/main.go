@@ -7,23 +7,14 @@
 //	gpgpurun -kernel sum   -device vc4 -size 256 -iters 100 -swap none -target texture
 //	gpgpurun -kernel sgemm -device sgx -size 256 -block 16 -fp24
 //
-// With -serve it becomes a client of a gles2gpgpud daemon instead of
-// running in-process, and -load turns it into a load generator:
+// With -serve it becomes a client of a gles2gpgpud daemon (or of a
+// gles2gpgpud -router front-end) instead of running in-process:
 //
 //	gpgpurun -serve http://127.0.0.1:7433 -kernel sgemm -device sgx -size 64
-//	gpgpurun -serve http://127.0.0.1:7433 -load -jobs 128 -concurrency 8 -benchjson load.json
-//
-// -openloop replaces the closed-loop generator with Poisson arrivals at
-// a fixed rate (latency measured from each job's scheduled arrival, so
-// overload shows up as tail latency instead of silently slowing the
-// generator); it works against a daemon or a -router front-end alike:
-//
-//	gpgpurun -serve http://127.0.0.1:7433 -openloop -rate 200 -jobs 512 -keys 8
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -52,29 +43,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "input random seed")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file")
 	serveURL := flag.String("serve", "", "submit to a gles2gpgpud daemon at this base URL instead of running in-process")
-	load := flag.Bool("load", false, "load-generator mode: drive the -serve daemon with a mixed job stream")
-	jobs := flag.Int("jobs", 64, "load mode: total jobs to submit")
-	concurrency := flag.Int("concurrency", 8, "load mode: in-flight request cap")
-	loadDevices := flag.String("load-devices", "vc4,sgx", "load mode: comma-separated devices to cycle jobs across")
-	openloop := flag.Bool("openloop", false, "open-loop load mode: Poisson arrivals at -rate against the -serve endpoint")
-	rate := flag.Float64("rate", 100, "open-loop mode: arrival rate, jobs/sec")
-	keys := flag.Int("keys", 8, "open-loop mode: distinct kernel-key classes in the stream")
-	benchJSON := flag.String("benchjson", "", "load mode: write the load report JSON to this file")
 	flag.Parse()
 
-	if (*load || *openloop) && *serveURL == "" {
-		fatal("-load/-openloop require -serve URL")
-	}
 	if *serveURL != "" {
 		client := &serve.Client{Base: strings.TrimRight(*serveURL, "/")}
-		switch {
-		case *openloop:
-			runOpenLoop(client, *rate, *jobs, *keys, *size, *seed, *benchJSON)
-		case *load:
-			runLoad(client, *jobs, *concurrency, *loadDevices, *size, *seed, *benchJSON)
-		default:
-			runRemote(client, *kernel, *dev, *size, *block, *seed)
-		}
+		runRemote(client, *kernel, *dev, *size, *block, *seed)
 		return
 	}
 
@@ -260,72 +233,6 @@ func runRemote(client *serve.Client, kernel, dev string, n, block int, seed int6
 	fmt.Printf("max abs error vs CPU reference: %.3g\n", ref.MaxAbsDiff(want, res.Out))
 	fmt.Printf("virtual time: %v  host time: %.3f ms\n",
 		res.VirtualTime, float64(res.HostNanos)/1e6)
-}
-
-// runLoad drives the daemon with the shared load generator and prints (and
-// optionally writes) the throughput/latency report.
-func runLoad(client *serve.Client, jobs, concurrency int, devices string, n int, seed int64, benchJSON string) {
-	rep, err := client.RunLoad(context.Background(), serve.LoadOpts{
-		Jobs:        jobs,
-		Concurrency: concurrency,
-		Devices:     strings.Split(devices, ","),
-		N:           n,
-		Seed:        seed,
-	})
-	if rep != nil {
-		fmt.Printf("load: %d jobs (%d completed, %d rejected-then-retried, %d failed) at concurrency %d\n",
-			rep.Jobs, rep.Completed, rep.Rejected, rep.Failed, rep.Concurrency)
-		fmt.Printf("host: %.1f ms total, %.1f jobs/s; latency p50=%.2fms p90=%.2fms p99=%.2fms\n",
-			rep.HostMS, rep.ThroughputS, rep.P50MS, rep.P90MS, rep.P99MS)
-		fmt.Printf("virtual device time consumed: %.3f ms\n", rep.VirtualMS)
-		if benchJSON != "" {
-			data, merr := json.MarshalIndent(rep, "", "  ")
-			if merr != nil {
-				fatal("%v", merr)
-			}
-			data = append(data, '\n')
-			if werr := os.WriteFile(benchJSON, data, 0o644); werr != nil {
-				fatal("%v", werr)
-			}
-			fmt.Printf("load report written to %s\n", benchJSON)
-		}
-	}
-	if err != nil {
-		fatal("%v", err)
-	}
-}
-
-// runOpenLoop drives the endpoint with Poisson arrivals and prints (and
-// optionally writes) the goodput/tail-latency report.
-func runOpenLoop(client *serve.Client, rate float64, jobs, keys, n int, seed int64, benchJSON string) {
-	rep, err := client.RunOpenLoop(context.Background(), serve.OpenLoopOpts{
-		RatePerSec: rate,
-		Jobs:       jobs,
-		Keys:       keys,
-		N:          n,
-		Seed:       seed,
-	})
-	if rep != nil {
-		fmt.Printf("openloop: %d arrivals at %g/s (%d completed, %d shed, %d failed)\n",
-			rep.Jobs, rep.RatePerSec, rep.Completed, rep.Shed, rep.Failed)
-		fmt.Printf("host: %.1f ms, goodput %.1f jobs/s; latency p50=%.2fms p99=%.2fms p999=%.2fms max=%.2fms\n",
-			rep.DurationMS, rep.GoodputS, rep.P50MS, rep.P99MS, rep.P999MS, rep.MaxMS)
-		fmt.Printf("virtual device time consumed: %.3f ms\n", rep.VirtualMS)
-		if benchJSON != "" {
-			data, merr := json.MarshalIndent(rep, "", "  ")
-			if merr != nil {
-				fatal("%v", merr)
-			}
-			data = append(data, '\n')
-			if werr := os.WriteFile(benchJSON, data, 0o644); werr != nil {
-				fatal("%v", werr)
-			}
-			fmt.Printf("open-loop report written to %s\n", benchJSON)
-		}
-	}
-	if err != nil {
-		fatal("%v", err)
-	}
 }
 
 func fatal(format string, args ...interface{}) {

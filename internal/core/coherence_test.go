@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"gles2gpgpu/internal/codec"
+	"gles2gpgpu/internal/kernels"
 	"gles2gpgpu/internal/timing"
 )
 
@@ -78,15 +81,43 @@ func cohRunCell(t *testing.T, c cohCell, n, iters int,
 	return cohOutcome{state: state, now: e.Now(), elided: elided, shaded: shaded}
 }
 
+// cohSweepRun steps kernels.CoherenceSweep over random state: the bottom
+// frac of the grid inverts every iteration, the rest passes through.
+func cohSweepRun(n int, frac float64) func(e *Engine, iters int) ([]byte, error) {
+	return func(e *Engine, iters int) ([]byte, error) {
+		k, err := e.CachedKernel(kernels.CoherenceSweep(frac, e.Config().Kernel))
+		if err != nil {
+			return nil, err
+		}
+		pp := e.NewPingPong(n, n, codec.Unit)
+		defer pp.Release()
+		rng := rand.New(rand.NewSource(7))
+		state := make([]byte, n*n*4)
+		rng.Read(state)
+		if err := pp.UploadEncoded(state); err != nil {
+			return nil, err
+		}
+		_, err = e.StepLoop(context.Background(), pp, StepOpts{MaxIters: iters}, func(_ int, in, out *Tensor) error {
+			k.BindInput("text0", 0, in)
+			return k.Dispatch(out)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return pp.ReadRaw()
+	}
+}
+
 func TestCoherenceParityMatrix(t *testing.T) {
 	const n, iters = 64, 60
-	workloads := []struct {
+	type workload struct {
 		name string
 		run  func(e *Engine, iters int) ([]byte, error)
 		// wantElision: the workload has byte-static regions at this size, so
 		// the coherent cells must actually elide (not just agree).
 		wantElision bool
-	}{
+	}
+	workloads := []workload{
 		{"jacobi8", func(e *Engine, iters int) ([]byte, error) {
 			r, err := NewJacobi8(e, cohTestPlate(n))
 			if err != nil {
@@ -145,6 +176,11 @@ func TestCoherenceParityMatrix(t *testing.T) {
 			}
 			return float64Bytes(m.Data), nil
 		}, true},
+	}
+	// The changing-fraction sweep: everything static, half the grid
+	// oscillating, and every tile changing every step.
+	for _, frac := range []float64{0, 0.5, 1} {
+		workloads = append(workloads, workload{fmt.Sprintf("sweep-f%g", frac), cohSweepRun(n, frac), frac < 1})
 	}
 
 	for _, w := range workloads {

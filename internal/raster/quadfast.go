@@ -58,9 +58,6 @@ var quadFast = os.Getenv("GLES2GPGPU_NO_QUADFAST") == ""
 // concurrently with draws.
 func SetQuadFast(on bool) { quadFast = on }
 
-// QuadFast reports whether the exact-quad fast path is enabled.
-func QuadFast() bool { return quadFast }
-
 // classifyExact proves the dyadic-exactness conditions that make
 // incremental varying interpolation bit-identical to the per-pixel
 // reference path. Called once per triangle at Setup.

@@ -1,10 +1,10 @@
 package serve
 
-// The /v1/stats JSON surface exists for the shard router's benchmark: it
-// needs warm-runner and tensor-pool hit/miss counters it can delta across
-// a load run to prove affinity routing keeps replicas warmer than
-// round-robin. These tests pin the counters' semantics (first job of a
-// key is a runner miss, repeats are hits) and the HTTP framing.
+// The /v1/stats JSON surface exposes warm-runner and tensor-pool hit/miss
+// counters; the shard router's end-to-end tests read them to prove
+// affinity routing keeps replicas warmer than round-robin. These tests
+// pin the counters' semantics (first job of a key is a runner miss,
+// repeats are hits) and the HTTP framing.
 
 import (
 	"context"

@@ -554,3 +554,58 @@ func TestRoutedResultEncodingsBitIdentity(t *testing.T) {
 		t.Error("client against a JSON-only daemon: result differs from the direct run")
 	}
 }
+
+// TestRoutedAffinityKeepsRunnersWarm is the router's reason to exist:
+// consistent-hash affinity sends every job of one warm-runner class to
+// one replica, so each class compiles once in the fleet, while
+// round-robin builds every class on every replica. The same sequential
+// stream goes through each policy in front of two fresh replicas, and the
+// fleet's runner misses are read back from each replica's /v1/stats. The
+// stream has no more classes than one worker's warm-runner cache holds,
+// so no eviction blurs the count, and each class arrives twice in a row,
+// so round-robin's rotation cannot pin a class to one replica by accident.
+func TestRoutedAffinityKeepsRunnersWarm(t *testing.T) {
+	const classes, jobs = 4, 24
+	fleetMisses := func(policy string) int64 {
+		var urls []string
+		for i := 0; i < 2; i++ {
+			urls = append(urls, startReplica(t).url())
+		}
+		rt, err := shard.NewRouter(shard.Config{Replicas: urls, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		front := httptest.NewServer(shard.Handler(rt))
+		defer front.Close()
+		client := &serve.Client{Base: front.URL}
+		ctx := context.Background()
+		for i := 0; i < jobs; i++ {
+			class := (i / 2) % classes
+			p := serve.Params{Device: "vc4", Kernel: "saxpy", N: 16,
+				Alpha: float64(class+1) / (classes + 1), Seed: int64(i%3) + 1}
+			if _, err := client.Do(ctx, p); err != nil {
+				t.Fatalf("%s job %d: %v", policy, i, err)
+			}
+		}
+		var misses int64
+		for _, u := range urls {
+			st, err := (&serve.Client{Base: u}).Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range st.Devices {
+				misses += d.RunnerMisses
+			}
+		}
+		return misses
+	}
+	aff := fleetMisses(shard.PolicyAffinity)
+	rr := fleetMisses(shard.PolicyRoundRobin)
+	if aff != classes {
+		t.Errorf("affinity fleet runner misses = %d, want %d (one build per class)", aff, classes)
+	}
+	if aff >= rr {
+		t.Errorf("affinity fleet runner misses %d, round-robin %d: affinity must keep runners warmer", aff, rr)
+	}
+}

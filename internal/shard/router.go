@@ -21,8 +21,8 @@ const (
 	// PolicyAffinity consistent-hashes the job's affinity key onto the
 	// ring: every job of one warm-runner class lands on the same replica,
 	// so compiled programs, warm runners and resident tensors stay hot
-	// per shard. This is the router's perf thesis; the servebench sweep
-	// measures it against round-robin.
+	// per shard. This is the router's perf thesis;
+	// TestRoutedAffinityKeepsRunnersWarm checks it against round-robin.
 	PolicyAffinity = "affinity"
 	// PolicyRoundRobin rotates jobs across healthy replicas regardless of
 	// key — the baseline that dilutes every replica's warm-runner LRU
