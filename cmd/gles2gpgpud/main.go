@@ -56,8 +56,6 @@ func main() {
 	poolBytes := flag.Int("poolbytes", 32<<20, "tensor residency pool budget per engine, bytes (negative disables)")
 	runners := flag.Int("runners", 4, "warm-runner cache size per worker")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max time to finish queued jobs on shutdown")
-	nocoherence := flag.Bool("nocoherence", false, "re-shade every tile every draw instead of eliding tiles with unchanged inputs (host time only; results are bit-identical)")
-	nofuse := flag.Bool("nofuse", false, "run every pipeline stage as its own pass instead of proof-gated pass fusion (host time only; results are bit-identical)")
 	flag.Parse()
 
 	if *router {
@@ -100,8 +98,6 @@ func main() {
 		MaxBatch:        *maxBatch,
 		TensorPoolBytes: *poolBytes,
 		MaxRunners:      *runners,
-		NoCoherence:     *nocoherence,
-		NoFuse:          *nofuse,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gles2gpgpud: %v\n", err)

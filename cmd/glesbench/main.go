@@ -9,12 +9,12 @@
 //	glesbench -fig 3        # one figure: 3, vbo, 4a, 4b, 5a, 5b, journey, ablation
 //	glesbench -size 1024    # matrix dimension of the timing runs
 //	glesbench -iters 100    # repetitions per configuration
-//	glesbench -nopasses     # disable the host shader optimisation passes
-//	glesbench -nocoherence  # re-shade every tile instead of eliding unchanged ones
+//	glesbench -workers 1    # host shading workers (default GOMAXPROCS)
 //
 // Stdout carries only virtual-time results, so a default run is
-// byte-comparable with glesbench_output.txt; per-figure host times go to
-// stderr. Host-time benchmarking lives in perfbench/.
+// byte-comparable with glesbench_output.txt at any -workers value;
+// per-figure host times go to stderr. -workers is the only
+// host-execution setting. Host-time benchmarking lives in perfbench/.
 package main
 
 import (
@@ -42,9 +42,7 @@ func main() {
 	size := flag.Int("size", 1024, "matrix dimension for timing runs (paper: 1024)")
 	calib := flag.Int("calib", 64, "matrix dimension for the functional validation run")
 	iters := flag.Int("iters", 100, "measured benchmark-body repetitions")
-	workers := flag.Int("workers", 0, "host fragment-shading workers (0: GLES2GPGPU_WORKERS or GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
-	nopasses := flag.Bool("nopasses", false, "disable the host shader optimisation passes (A/B escape hatch; the passes are cycle-neutral, so results are bit-identical, only host time changes)")
-	nocoherence := flag.Bool("nocoherence", false, "re-shade every tile every draw instead of eliding tiles with unchanged inputs (A/B escape hatch; results are bit-identical, only host time changes)")
+	workers := flag.Int("workers", 0, "host fragment-shading workers (0: GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -89,7 +87,6 @@ func main() {
 
 	o := bench.Opts{
 		PaperSize: *size, CalibSize: *calib, Iters: *iters, Workers: *workers,
-		NoPasses: *nopasses, NoCoherence: *nocoherence,
 	}
 	devs := bench.Devices()
 	// Host wall-clock reporting goes to stderr so stdout stays

@@ -6,9 +6,9 @@
 // For every graph the example prints the planner's per-edge fusion
 // verdicts (proof-gated: an edge fuses only when the shader analysis
 // proves both sides elementwise with 1:1 texel footprints), then runs the
-// plan fused and unfused and checks the fusion contract: identical output
-// bytes and identical modelled device time — fusion may only save host
-// work, counted by passes_fused and readbacks_elided.
+// fused plan. Fusion saves only host work, counted by passes fused and
+// readbacks elided; the modelled device time is the unfused plan's, which
+// internal/pipeline's TestFusionParity checks.
 //
 //	go run ./examples/vision
 package main
@@ -53,94 +53,58 @@ func graphs() map[string]gpgpu.PipelineGraph {
 	}
 }
 
-// run compiles and executes one graph `iters` times on a fresh engine and
-// returns the output bytes of every declared output, the device clock, and
-// the plan's lifetime fusion counters.
-func run(g gpgpu.PipelineGraph, iters int, noFuse bool) ([]byte, gpgpu.Time, int64, int64, error) {
+// run compiles one graph on a fresh engine, prints the planner's per-edge
+// fusion verdicts, executes the plan `iters` times and returns the device
+// clock and the plan's lifetime fusion counters.
+func run(g gpgpu.PipelineGraph, iters int) (gpgpu.Time, int64, int64, error) {
 	engine, err := gpgpu.NewEngine(gpgpu.Config{
 		Device: gpgpu.GenericDevice(),
 		Width:  n, Height: n,
 		Swap:   gpgpu.SwapNone,
 		Target: gpgpu.TargetTexture,
 		UseVBO: true,
-		NoFuse: noFuse,
 	})
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	plan, err := gpgpu.CompilePipeline(engine, g)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
+	}
+	defer plan.Release()
+	for _, d := range plan.Decisions() {
+		verdict := "fused"
+		if !d.Fused {
+			verdict = d.Reason
+		}
+		fmt.Printf("  %s -> %s: %s\n", d.Producer, d.Consumer, verdict)
 	}
 	src := engine.NewTensor(n, n, gpgpu.UnitRange)
 	if err := src.Upload(synthImage(), false); err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	ext := map[string]*gpgpu.Tensor{gpgpu.PipelineSrcInput: src}
 	for i := 0; i < iters; i++ {
 		if _, err := plan.Run(ext); err != nil {
-			return nil, 0, 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
 	engine.Finish()
-	var bytes []byte
-	for _, out := range g.Outputs {
-		raw, err := plan.Output(out).ReadRaw()
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		bytes = append(bytes, raw...)
-	}
 	_, _, fused, elided := plan.Totals()
-	return bytes, engine.Now(), fused, elided, nil
+	return engine.Now(), fused, elided, nil
 }
 
 func main() {
 	const iters = 8
-	names := []string{"sepconv", "adaptive", "histeq", "sobel", "pyramid"}
 	gs := graphs()
-	for _, name := range names {
+	for _, name := range []string{"sepconv", "adaptive", "histeq", "sobel", "pyramid"} {
 		g := gs[name]
-		// A throwaway compile just to read the planner's verdicts.
-		probe, err := gpgpu.NewEngine(gpgpu.Config{
-			Device: gpgpu.GenericDevice(),
-			Width:  n, Height: n,
-			Swap:   gpgpu.SwapNone,
-			Target: gpgpu.TargetTexture,
-			UseVBO: true,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan, err := gpgpu.CompilePipeline(probe, g)
+		fmt.Printf("%s: %d stages\n", name, len(g.Stages))
+		t, passesFused, elided, err := run(g, iters)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		fmt.Printf("%s: %d stages\n", name, len(g.Stages))
-		for _, d := range plan.Decisions() {
-			verdict := "fused"
-			if !d.Fused {
-				verdict = d.Reason
-			}
-			fmt.Printf("  %s -> %s: %s\n", d.Producer, d.Consumer, verdict)
-		}
-		plan.Release()
-
-		fusedBytes, fusedTime, passesFused, elided, err := run(g, iters, false)
-		if err != nil {
-			log.Fatalf("%s fused: %v", name, err)
-		}
-		plainBytes, plainTime, _, _, err := run(g, iters, true)
-		if err != nil {
-			log.Fatalf("%s unfused: %v", name, err)
-		}
-		if string(fusedBytes) != string(plainBytes) {
-			log.Fatalf("%s: fused output differs from unfused (contract broken)", name)
-		}
-		if fusedTime != plainTime {
-			log.Fatalf("%s: fused device time %v != unfused %v (contract broken)", name, fusedTime, plainTime)
-		}
-		fmt.Printf("  %d runs: device time %v (= unfused, bit-identical), passes fused %d, readbacks elided %d\n",
-			iters, fusedTime, passesFused, elided)
+		fmt.Printf("  %d runs: device time %v, passes fused %d, readbacks elided %d\n",
+			iters, t, passesFused, elided)
 	}
 }

@@ -315,3 +315,27 @@ func TestMeasureRejectsBadWorkload(t *testing.T) {
 		t.Error("unknown workload accepted")
 	}
 }
+
+func TestMeasureRejectsNegativeCounts(t *testing.T) {
+	cfg := core.Config{Device: device.Generic(), Swap: core.SwapNone, Target: core.TargetTexture}
+	for _, tc := range []struct {
+		name        string
+		warm, iters int
+		wantErr     bool
+	}{
+		{"defaults", 0, 0, false},
+		{"negative warm", -1, 20, true},
+		{"negative iters", 4, -3, true},
+		{"both negative", -8, -100, true},
+	} {
+		o := testOpts()
+		o.Warm, o.Iters = tc.warm, tc.iters
+		r, err := Measure(context.Background(), cfg, Spec{Workload: WSum}, o)
+		if gotErr := err != nil; gotErr != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if err == nil && r.PerIteration <= 0 {
+			t.Errorf("%s: per-iteration time %v", tc.name, r.PerIteration)
+		}
+	}
+}

@@ -69,7 +69,8 @@ type Opts struct {
 	// (default 64).
 	CalibSize int
 	// Warm and Iters are the warm-up and measured repetition counts of
-	// the benchmark body (defaults 8 and 100).
+	// the benchmark body (defaults 8 and 100; negative counts are an
+	// error).
 	Warm, Iters int
 	// Seed drives the random inputs.
 	Seed int64
@@ -81,14 +82,6 @@ type Opts struct {
 	// long the calibration takes on the host, never the virtual-time
 	// measurements.
 	Workers int
-	// NoPasses disables the host-side shader optimisation passes for the
-	// functional calibration. Like Workers it changes host time only: the
-	// passes are cycle-neutral, so virtual-time figures are identical.
-	NoPasses bool
-	// NoCoherence disables the cross-iteration tile-coherence cache for
-	// the functional calibration. Host time only, like Workers: elided
-	// tiles replay their exact prior bytes and modelled cost.
-	NoCoherence bool
 }
 
 func (o Opts) withDefaults() Opts {
@@ -154,6 +147,9 @@ func build(cfg core.Config, spec Spec, n int, seed int64, timingOnly bool) (*bui
 	if err != nil {
 		return nil, err
 	}
+	if built != nil {
+		built(e)
+	}
 	if timingOnly {
 		e.SetTimingOnly(true)
 	}
@@ -211,15 +207,12 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 // every successful calibration; failures are never stored, so a failing
 // configuration fails again on every call.
 func measure(ctx context.Context, memo calibrations, cfg core.Config, spec Spec, o Opts) (Result, error) {
+	if o.Warm < 0 || o.Iters < 0 {
+		return Result{}, fmt.Errorf("bench: negative repetition count (warm %d, iters %d)", o.Warm, o.Iters)
+	}
 	o = o.withDefaults()
 	if o.Workers != 0 {
 		cfg.Workers = o.Workers
-	}
-	if o.NoPasses {
-		cfg.NoPasses = true
-	}
-	if o.NoCoherence {
-		cfg.NoCoherence = true
 	}
 	key := keyOf(cfg, spec, o)
 	cal, reused := memo[key]
@@ -344,6 +337,10 @@ var extrapolate = true
 
 // observe, when set by a test, receives every Result Measure returns.
 var observe func(core.Config, Spec, Result)
+
+// built, when set by a test, receives every engine build makes before the
+// workload is set up on it, so the test can select a reference host path.
+var built func(*core.Engine)
 
 // calibrated, when set by a test, receives every successful functional
 // calibration run: its runner, which still holds the output, and its

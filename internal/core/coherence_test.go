@@ -64,13 +64,10 @@ func cohRunCell(t *testing.T, c cohCell, n, iters int,
 	t.Helper()
 	cfg := baseConfig(n)
 	cfg.Workers = c.workers
-	cfg.NoCoherence = !c.coherence
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	// NoCoherence only turns the cache off; set it either way so the
-	// environment default cannot override the cell.
 	e.GL().SetCoherence(c.coherence)
 	state, err := run(e, iters)
 	if err != nil {
@@ -219,12 +216,11 @@ func TestCoherenceParityMatrix(t *testing.T) {
 func TestCoherenceConvergenceParity(t *testing.T) {
 	const n = 64
 	run := func(coherence bool) (StepResult, []byte) {
-		cfg := baseConfig(n)
-		cfg.NoCoherence = !coherence
-		e, err := NewEngine(cfg)
+		e, err := NewEngine(baseConfig(n))
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.GL().SetCoherence(coherence)
 		r, err := NewJacobi8(e, cohTestPlate(n))
 		if err != nil {
 			t.Fatal(err)

@@ -126,36 +126,18 @@ type Config struct {
 	// threads the simulator spreads functional shading over. It changes
 	// host wall-clock time only — virtual-time results, framebuffer
 	// contents and cycle counters are bit-identical at any setting (see
-	// internal/gles/parallel.go). 0 means the GLES2GPGPU_WORKERS
-	// environment variable, or GOMAXPROCS; 1 forces serial shading.
+	// internal/gles/parallel.go). 0 means GOMAXPROCS; 1 forces serial
+	// shading. It is the only host-execution setting: every other host
+	// path (optimisation passes, tile coherence, pass fusion, the quad
+	// fast path) is always on, and its reference path is reachable only
+	// from tests.
 	Workers int
-
-	// NoPasses disables the host-side shader optimisation passes (dead-code
-	// elimination, copy/constant propagation — the library equivalent of
-	// GLES2GPGPU_NO_PASSES=1). Like Workers it changes host wall-clock
-	// time only: the passes are cycle-neutral, so results and virtual-time
-	// figures are bit-identical either way.
-	NoPasses bool
-
-	// NoCoherence disables the cross-iteration tile-coherence cache,
-	// re-shading every tile on every draw (the library equivalent of
-	// GLES2GPGPU_NO_COHERENCE=1). Like Workers it changes host wall-clock
-	// time only: elided tiles replay their exact prior output bytes and
-	// modelled cost, so framebuffer contents and every virtual-time
-	// figure are bit-identical either way.
-	NoCoherence bool
-
-	// StrictLinkLimits makes glLinkProgram additionally enforce the
-	// dataflow-derived device limits (dependent-texture-read depth, live
-	// temporary pressure) that compile-time counting cannot see, the way
-	// real mobile drivers defer some rejections to link time.
-	StrictLinkLimits bool
 
 	// ProgramCache, when non-nil, shares compiled shaders across engines:
 	// a serving worker pool attaches one cache per device so each kernel
 	// compiles once per pool instead of once per engine. All engines
-	// sharing a cache must share one *device.Profile instance and one
-	// NoPasses setting (see gles.SharedProgramCache).
+	// sharing a cache must share one *device.Profile instance (see
+	// gles.SharedProgramCache).
 	ProgramCache *gles.SharedProgramCache
 
 	// TensorPoolBytes, when positive, enables the engine's tensor
@@ -166,17 +148,6 @@ type Config struct {
 	// Results are bit-identical with the pool on or off; only allocation
 	// work (and therefore virtual time) changes. See TensorPool.
 	TensorPoolBytes int
-
-	// NoFuse disables proof-gated pass fusion in the pipeline planner
-	// (internal/pipeline): adjacent elementwise stages run as separate
-	// passes through intermediate textures instead of one composed
-	// program (the library equivalent of GLES2GPGPU_NO_FUSE=1). Fusion is
-	// bit-identical by construction — output bytes, Cycles/TexFetches and
-	// every virtual-time figure match the unfused plan — so like NoPasses
-	// this changes host work only. The default comes from pipeline's
-	// DefaultFuse (on, unless GLES2GPGPU_NO_FUSE is set); engines built
-	// by knob-matrix harnesses set it explicitly.
-	NoFuse bool
 }
 
 func boolPtr(b bool) *bool { return &b }
@@ -253,15 +224,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.gl = gles.NewContext(e.ectx)
 	if cfg.Workers != 0 {
 		e.gl.SetWorkers(cfg.Workers)
-	}
-	if cfg.NoPasses {
-		e.gl.SetPasses(false)
-	}
-	if cfg.NoCoherence {
-		e.gl.SetCoherence(false)
-	}
-	if cfg.StrictLinkLimits {
-		e.gl.SetStrictLimits(true)
 	}
 	if cfg.ProgramCache != nil {
 		e.gl.SetSharedProgramCache(cfg.ProgramCache)

@@ -44,15 +44,14 @@ package gles
 // Modelled-device time is deliberately untouched: an elided tile
 // contributes its cached fragments/cycles/texFetches to the draw stats, so
 // Cycles, TexFetches and every virtual-time figure are bit-identical with
-// the knob on or off — only host wall-clock time changes. Non-elided tiles
-// shade in lane batches exactly like the tiled path (tiled.go). The win is
-// reported by the CoherenceElided/CoherenceShaded counters
-// (Context.CoherenceStats) and the coherence bench figures.
+// coherence on or off — only host wall-clock time changes. Non-elided
+// tiles shade in lane batches exactly like the tiled path (tiled.go). The
+// win is reported by the CoherenceElided/CoherenceShaded counters
+// (Context.CoherenceStats).
 
 import (
 	"bytes"
 	"math"
-	"os"
 	"sync/atomic"
 
 	"gles2gpgpu/internal/raster"
@@ -72,10 +71,6 @@ const cohMaxEntryBytes = 64 << 20
 // matrix) are not cached: their inputs change wholesale every pass anyway,
 // and snapshotting them would dwarf the pixels they produce.
 const cohMaxTileInBytes = 64 << 10
-
-// DefaultCoherence reads the GLES2GPGPU_NO_COHERENCE environment toggle
-// for new contexts: cross-iteration tile coherence is on unless set.
-func DefaultCoherence() bool { return os.Getenv("GLES2GPGPU_NO_COHERENCE") == "" }
 
 // cohKey identifies a cacheable draw stream: one program drawing to one
 // target size. Texture identity is deliberately absent (see file comment).

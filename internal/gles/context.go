@@ -11,7 +11,7 @@ package gles
 
 import (
 	"fmt"
-	"os"
+	"runtime"
 
 	"gles2gpgpu/internal/device"
 	"gles2gpgpu/internal/egl"
@@ -267,8 +267,8 @@ type Context struct {
 	// resource counts (worst-path instructions/tex fetches,
 	// dependent-read depth, linear-scan register pressure) exceed the
 	// device profile — the paper's compile cliff, enforced at link time
-	// instead of silently mis-emulating. Off by default: the simulator
-	// normally wants to run over-limit programs to measure them.
+	// instead of silently mis-emulating. Only tests turn it on: the
+	// simulator wants to run over-limit programs to measure them.
 	strictLimits bool
 
 	// progCache memoises shader compilation by (stage, source hash) so
@@ -282,10 +282,6 @@ type Context struct {
 	// progCache; see SharedProgramCache for the sharing conditions.
 	sharedCache *SharedProgramCache
 }
-
-// defaultStrictLimits reads the GLES2GPGPU_STRICT_LIMITS environment
-// toggle for new contexts.
-func defaultStrictLimits() bool { return os.Getenv("GLES2GPGPU_STRICT_LIMITS") != "" }
 
 // Framebuffer is a framebuffer object with a colour attachment.
 type Framebuffer struct {
@@ -313,11 +309,10 @@ func NewContext(ec *egl.Context) *Context {
 		alloc:        mem.NewAllocator(prof.TexAlloc),
 		statCache:    make(map[statKey]drawStats),
 		progCache:    make(map[shaderCacheKey]shaderCacheEntry),
-		workers:      defaultWorkers(),
-		passes:       shader.DefaultPasses(),
-		coherence:    DefaultCoherence(),
+		workers:      runtime.GOMAXPROCS(0),
+		passes:       true,
+		coherence:    true,
 		cohCache:     make(map[cohKey]*cohDraw),
-		strictLimits: defaultStrictLimits(),
 	}
 	c.colorMask = [4]bool{true, true, true, true}
 	c.blendSrc, c.blendDst = ONE, ZERO
@@ -379,15 +374,13 @@ func (c *Context) FunctionalOnly() bool { return c.functionalOnly }
 
 // SetPasses selects whether draws execute the optimised program form
 // produced by the analysis pass pipeline (DCE + copy/constant
-// propagation). Results are bit-identical either way — the OptProgram
-// contract charges dead instructions their cycle cost and counts dead
-// texture fetches — so this is a host-time A/B escape hatch. The
-// default comes from shader.DefaultPasses (on, unless GLES2GPGPU_NO_PASSES
-// is set).
+// propagation). It is on by default and exists for tests: results are
+// bit-identical either way — the OptProgram contract charges dead
+// instructions their cycle cost and counts dead texture fetches — so the
+// unoptimised form is the reference the parity tests compare against.
+// Call it before the first CompileShader: the optimised form is attached
+// at compile time.
 func (c *Context) SetPasses(on bool) { c.passes = on }
-
-// Passes reports whether the optimised program form is selected.
-func (c *Context) Passes() bool { return c.passes }
 
 // LaneFallbackDraws returns the number of draws whose fragment program
 // failed lane and mask eligibility and therefore shaded per-fragment on
@@ -399,10 +392,9 @@ func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 // byte-identical to the previous iteration replay their cached output
 // bytes instead of re-shading (see coherence.go). Framebuffer bytes,
 // Cycles/TexFetches and every virtual-time figure are bit-identical either
-// way — elided tiles still contribute their cached modelled cost — so this
-// is a host-time knob like SetPasses. Turning it off also drops the cached
-// snapshots. The default comes from DefaultCoherence (on, unless
-// GLES2GPGPU_NO_COHERENCE is set).
+// way — elided tiles still contribute their cached modelled cost. It is on
+// by default and exists for tests, which turn it off to get the re-shading
+// reference. Turning it off also drops the cached snapshots.
 func (c *Context) SetCoherence(on bool) {
 	c.coherence = on
 	if !on {
@@ -410,21 +402,6 @@ func (c *Context) SetCoherence(on bool) {
 		c.cohBytes = 0
 	}
 }
-
-// Coherence reports whether the cross-iteration tile-coherence engine is
-// selected.
-func (c *Context) Coherence() bool { return c.coherence }
-
-// SetStrictLimits toggles analysis-based device-limit enforcement at
-// LinkProgram time: when on, programs whose worst-path resource counts
-// exceed the device profile fail to link with a diagnostic, reproducing
-// the paper's "block >16 fails compilation" behaviour. Defaults to off
-// (or GLES2GPGPU_STRICT_LIMITS in the environment) so measurement runs
-// can still execute over-limit programs.
-func (c *Context) SetStrictLimits(on bool) { c.strictLimits = on }
-
-// StrictLimits reports whether link-time limit enforcement is on.
-func (c *Context) StrictLimits() bool { return c.strictLimits }
 
 // setErr records the first error since the last GetError.
 func (c *Context) setErr(e Enum) {

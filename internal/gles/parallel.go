@@ -19,9 +19,7 @@ package gles
 // virtual-time results are therefore bit-identical at any worker count.
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"gles2gpgpu/internal/shader"
@@ -32,23 +30,12 @@ import (
 // the draw shades inline on the calling goroutine.
 const parallelMinFragments = 4096
 
-// defaultWorkers picks the worker count from the GLES2GPGPU_WORKERS
-// environment variable, falling back to GOMAXPROCS.
-func defaultWorkers() int {
-	if s := os.Getenv("GLES2GPGPU_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // SetWorkers sets the fragment-shading worker count. n <= 0 restores the
-// default (GLES2GPGPU_WORKERS or GOMAXPROCS); 1 forces serial shading.
-// Virtual-time results are identical at any setting.
+// default, GOMAXPROCS; 1 forces serial shading. Virtual-time results are
+// identical at any setting.
 func (c *Context) SetWorkers(n int) {
 	if n <= 0 {
-		n = defaultWorkers()
+		n = runtime.GOMAXPROCS(0)
 	}
 	if n == c.workers {
 		return

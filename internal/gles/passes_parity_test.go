@@ -139,7 +139,7 @@ void main() {
 	link := func(strict bool) (int, string, *Context) {
 		env := newEnv(t, device.VideoCoreIV(), 4, 4, false)
 		gl := env.gl
-		gl.SetStrictLimits(strict)
+		gl.strictLimits = strict
 		vs := gl.CreateShader(VERTEX_SHADER)
 		gl.ShaderSource(vs, quadVS)
 		gl.CompileShader(vs)

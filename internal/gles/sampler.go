@@ -98,29 +98,6 @@ func specializeSampler(t *Texture) shader.TexFunc {
 	}
 }
 
-// NewBenchTexture builds a standalone allocated texture — not registered
-// with any context or resource accounting — for the sampling
-// microbenchmarks in internal/bench. data must hold w*h*4 bytes.
-func NewBenchTexture(w, h int, magFilter, wrapS, wrapT Enum, data []byte) *Texture {
-	return &Texture{
-		W: w, H: h, data: data, allocated: true,
-		minFilter: NEAREST, magFilter: magFilter, wrapS: wrapS, wrapT: wrapT,
-	}
-}
-
-// GenericSampler returns the unspecialized per-fetch closure over t: the
-// reference path that re-checks filter/wrap state on every fetch.
-func (t *Texture) GenericSampler() shader.TexFunc {
-	return func(u, v float32) shader.Vec4 {
-		return shader.Vec4(sampleTexture(t, u, v))
-	}
-}
-
-// SpecializedSampler returns the draw-time specialized fetch for t.
-func (t *Texture) SpecializedSampler() shader.TexFunc {
-	return specializeSampler(t)
-}
-
 // specializeSamplers resolves the draw's bound textures into per-slot fetch
 // functions. The returned slice is installed into every Env shading the
 // draw (serial and per-worker alike); texture state cannot change while a

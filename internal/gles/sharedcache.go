@@ -9,16 +9,16 @@ import "sync"
 // shader.Program) between those contexts so each distinct source compiles
 // once per pool rather than once per engine.
 //
-// Sharing compiled Programs across contexts is safe under two conditions
-// that the serve layer guarantees and ordinary callers should follow:
+// Sharing compiled Programs across contexts is safe when all sharing
+// contexts use the same *device.Profile instance, which the serve layer
+// guarantees and ordinary callers should follow. The lane-form caches on
+// shader.Program are keyed by CostModel pointer identity, so distinct
+// Profile copies would thrash them (correct, but recompiling per draw),
+// and compile-time limit checks must agree.
 //
-//   - All sharing contexts use the same *device.Profile instance. The
-//     lane-form caches on shader.Program are keyed by CostModel pointer
-//     identity, so distinct Profile copies would thrash them (correct, but
-//     recompiling per draw), and compile-time limit checks must agree.
-//   - All sharing contexts run the same pass-pipeline setting. The
-//     optimised program form is attached at first compile; the cache key
-//     includes the setting so mixed configurations simply do not share.
+// The optimised program form is attached at first compile, so the cache
+// key includes the pass-pipeline setting: a test context that turned the
+// passes off (SetPasses) never shares with a default one.
 //
 // All methods are safe for concurrent use.
 type SharedProgramCache struct {

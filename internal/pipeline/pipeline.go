@@ -20,13 +20,8 @@ package pipeline
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
-
-// DefaultFuse reads the GLES2GPGPU_NO_FUSE environment toggle: fusion is
-// on unless the variable is set (mirroring the other engine knobs).
-func DefaultFuse() bool { return os.Getenv("GLES2GPGPU_NO_FUSE") == "" }
 
 // Binding connects one sampler uniform of a stage to a producer: exactly
 // one of Stage (an earlier stage's output) or External (a tensor supplied

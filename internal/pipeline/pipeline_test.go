@@ -178,9 +178,6 @@ func visionCases(n int) []visionCase {
 }
 
 func TestFusionDecisions(t *testing.T) {
-	if !DefaultFuse() {
-		t.Skip("GLES2GPGPU_NO_FUSE is set")
-	}
 	const n = 16
 	e := newEngine(t, baseConfig(n))
 	for _, tc := range visionCases(n) {
@@ -250,11 +247,11 @@ func TestFusionDecisions(t *testing.T) {
 
 // runPlan compiles g on a fresh engine and runs it iters times, returning
 // per-run output bytes, per-run virtual times, and the final plan+engine.
-func runPlan(t *testing.T, cfg core.Config, g Graph, m *codec.Matrix, iters int) ([][]byte, []*RunStats, *Plan, *core.Engine) {
+func runPlan(t *testing.T, cfg core.Config, fuse bool, g Graph, m *codec.Matrix, iters int) ([][]byte, []*RunStats, *Plan, *core.Engine) {
 	t.Helper()
 	e := newEngine(t, cfg)
 	ext := uploadSrc(t, e, m)
-	p, err := Compile(e, g)
+	p, err := compile(e, g, fuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,9 +281,6 @@ func runPlan(t *testing.T, cfg core.Config, g Graph, m *codec.Matrix, iters int)
 // byte-identical outputs, virtual times, cycle counts and fetch counts to
 // the unfused plan.
 func TestFusionParity(t *testing.T) {
-	if !DefaultFuse() {
-		t.Skip("GLES2GPGPU_NO_FUSE is set")
-	}
 	const n = 16
 	const iters = 3
 	m := randMatrix(n, n, 7)
@@ -300,13 +294,11 @@ func TestFusionParity(t *testing.T) {
 	for _, tc := range visionCases(n) {
 		for _, kb := range knobs {
 			t.Run(tc.name+"/"+kb.name, func(t *testing.T) {
-				cfgA := baseConfig(n)
-				kb.mut(&cfgA)
-				cfgB := cfgA
-				cfgB.NoFuse = true
+				cfg := baseConfig(n)
+				kb.mut(&cfg)
 
-				outA, statsA, planA, engA := runPlan(t, cfgA, tc.graph(n), m, iters)
-				outB, statsB, planB, engB := runPlan(t, cfgB, tc.graph(n), m, iters)
+				outA, statsA, planA, engA := runPlan(t, cfg, true, tc.graph(n), m, iters)
+				outB, statsB, planB, engB := runPlan(t, cfg, false, tc.graph(n), m, iters)
 				defer planA.Release()
 				defer planB.Release()
 
@@ -357,7 +349,7 @@ func TestFusionParity(t *testing.T) {
 					}
 				}
 				if _, fr, _, _ := planB.Totals(); fr != 0 {
-					t.Errorf("nofuse plan recorded %d fused runs", fr)
+					t.Errorf("unfused plan recorded %d fused runs", fr)
 				}
 			})
 		}
@@ -635,26 +627,18 @@ func TestGraphFuzz(t *testing.T) {
 	}
 }
 
-// TestNoFuseConfig checks the engine-level NoFuse knob forces unfused
-// execution even when the environment enables fusion.
-func TestNoFuseConfig(t *testing.T) {
-	if !DefaultFuse() {
-		t.Skip("GLES2GPGPU_NO_FUSE is set")
-	}
+// TestCompileUnfused checks that compiling with fusion off, the oracle
+// the parity tests use, fuses no edge and records why.
+func TestCompileUnfused(t *testing.T) {
 	const n = 8
-	cfg := baseConfig(n)
-	cfg.NoFuse = true
-	e := newEngine(t, cfg)
-	p, err := Compile(e, HistEqGraph(n, n, 4, kernels.DefaultOptions))
+	e := newEngine(t, baseConfig(n))
+	p, err := compile(e, HistEqGraph(n, n, 4, kernels.DefaultOptions), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release()
-	if p.FuseEnabled() {
-		t.Error("FuseEnabled with Config.NoFuse")
-	}
 	if p.FusedPairs() != 0 {
-		t.Errorf("fused pairs = %d with NoFuse", p.FusedPairs())
+		t.Errorf("fused pairs = %d with fusion off", p.FusedPairs())
 	}
 	for _, d := range p.Decisions() {
 		if d.Reason != "disabled" {

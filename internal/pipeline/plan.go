@@ -76,7 +76,7 @@ type Plan struct {
 	stages    []*planStage // indexed like g.Stages
 	groups    []*group     // collapsed nodes in topological order
 	decisions []FusionDecision
-	fuse      bool // fusion enabled (env knob && engine config)
+	fuse      bool // fusion enabled; only tests compile unfused plans
 	// nonReplayable names the first stage whose program's timing stats are
 	// data-dependent (branches or discard), making the exact timing replay
 	// unsound; "" when all stages are straight-line.
@@ -95,6 +95,12 @@ type Plan struct {
 // per edge with the shader analysis framework, and installs composed
 // programs for every fused chain.
 func Compile(e *core.Engine, g Graph) (*Plan, error) {
+	return compile(e, g, true)
+}
+
+// compile is Compile with fusion selectable. Tests pass fuse=false to get
+// the unfused plan, the reference fused runs must match exactly.
+func compile(e *core.Engine, g Graph, fuse bool) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,7 +114,7 @@ func Compile(e *core.Engine, g Graph) (*Plan, error) {
 		g:      g,
 		order:  order,
 		stages: make([]*planStage, len(g.Stages)),
-		fuse:   DefaultFuse() && !e.Config().NoFuse,
+		fuse:   fuse,
 	}
 	isOut := map[string]bool{}
 	for _, o := range g.Outputs {
@@ -392,9 +398,6 @@ func bindingFor(st *planStage, sampler string) resolvedBinding {
 // Decisions returns the planner's per-edge fusion verdicts, in the order
 // edges were considered.
 func (p *Plan) Decisions() []FusionDecision { return p.decisions }
-
-// FuseEnabled reports whether fusion was enabled when the plan compiled.
-func (p *Plan) FuseEnabled() bool { return p.fuse }
 
 // FusedPairs counts the edges the planner actually fused.
 func (p *Plan) FusedPairs() int {

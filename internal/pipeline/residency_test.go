@@ -105,11 +105,9 @@ func TestResidencyBeatsReadback(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.graph(n)
-			cfg := baseConfig(n)
-			cfg.NoFuse = true
-			e := newEngine(t, cfg)
+			e := newEngine(t, baseConfig(n))
 			ext := uploadSrc(t, e, m)
-			p, err := Compile(e, g)
+			p, err := compile(e, g, false)
 			if err != nil {
 				t.Fatal(err)
 			}

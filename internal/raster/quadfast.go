@@ -44,17 +44,17 @@ package raster
 
 import (
 	"math"
-	"os"
 
 	"gles2gpgpu/internal/shader"
 )
 
 // quadFast gates the exact-quad fast path; the reference per-pixel path
-// remains the semantics. Defaults on unless GLES2GPGPU_NO_QUADFAST is set.
-var quadFast = os.Getenv("GLES2GPGPU_NO_QUADFAST") == ""
+// remains the semantics.
+var quadFast = true
 
-// SetQuadFast toggles the exact-quad incremental fast path. Results are
-// bit-identical either way; only host time changes. Not safe to call
+// SetQuadFast toggles the exact-quad incremental fast path. It is on by
+// default and exists for tests, which turn it off to get the per-pixel
+// reference: results are bit-identical either way. Not safe to call
 // concurrently with draws.
 func SetQuadFast(on bool) { quadFast = on }
 

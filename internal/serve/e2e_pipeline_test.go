@@ -2,11 +2,12 @@ package serve_test
 
 // End-to-end test of pipeline jobs through the gles2gpgpud service: a real
 // HTTP daemon, a concurrent mix of vision-pipeline and single-kernel jobs,
-// and a bit-identical comparison of every pipeline result against direct
-// engine execution with fusion disabled. The service keeps plans warm, so
-// repeated jobs of one pipeline key run the fused schedule — the fusion
-// contract (bytes identical, only host time changes) is what makes the
-// unfused direct run a valid oracle.
+// and a bit-identical comparison of every pipeline result against a direct
+// run on a fresh default engine. The service keeps plans warm, so repeated
+// jobs of one pipeline key run the fused schedule while the single direct
+// run cannot; internal/pipeline's TestFusionParity pins the fusion
+// contract (bytes identical, only host time changes) that makes the direct
+// run a valid oracle.
 
 import (
 	"context"
@@ -46,9 +47,8 @@ func testGraph(t *testing.T, name string, n int) pipeline.Graph {
 	return pipeline.Graph{}
 }
 
-// directPipelineRun executes one pipeline job on a fresh engine with no
-// service machinery and fusion disabled, returning the final declared
-// output.
+// directPipelineRun executes one pipeline job on a fresh default engine
+// with no service machinery, returning the final declared output.
 func directPipelineRun(t *testing.T, dev, name string, n int, seed int64) []float64 {
 	t.Helper()
 	prof, err := device.ByName(dev)
@@ -61,7 +61,6 @@ func directPipelineRun(t *testing.T, dev, name string, n int, seed int64) []floa
 		Swap:   core.SwapNone,
 		Target: core.TargetTexture,
 		UseVBO: true,
-		NoFuse: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,14 +209,6 @@ func TestDaemonPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fuseOn := pipeline.DefaultFuse()
-	wantGauge := 0.0
-	if fuseOn {
-		wantGauge = 1.0
-	}
-	if v, ok := metricValue(text, "gles2gpgpud_engine_fusion_enabled", ""); !ok || v != wantGauge {
-		t.Errorf("fusion gauge = %v (found=%v), want %v", v, ok, wantGauge)
-	}
 	for _, dev := range devices {
 		label := fmt.Sprintf(`device=%q`, dev)
 		if v, ok := metricValue(text, "gles2gpgpud_pipeline_stages_total", label); !ok || v <= 0 {
@@ -228,13 +219,9 @@ func TestDaemonPipelineEndToEnd(t *testing.T) {
 		}
 		// Each device ran sepconv repeatedly on one warm plan: the first
 		// run primes the timing cache, later runs fuse its stretch→gamma
-		// tail — unless fusion is disabled in this environment.
-		v, ok := metricValue(text, "gles2gpgpud_pipeline_passes_fused_total", label)
-		if fuseOn && (!ok || v <= 0) {
+		// tail.
+		if v, ok := metricValue(text, "gles2gpgpud_pipeline_passes_fused_total", label); !ok || v <= 0 {
 			t.Errorf("%s: passes fused = %v (found=%v), want > 0", dev, v, ok)
-		}
-		if !fuseOn && ok && v != 0 {
-			t.Errorf("%s: passes fused = %v with fusion disabled", dev, v)
 		}
 	}
 	if v, ok := metricValue(text, "gles2gpgpud_jobs_failed_total", ""); ok && v != 0 {

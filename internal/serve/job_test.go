@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 )
@@ -36,4 +37,39 @@ func TestNormalizeRejectsNaN(t *testing.T) {
 	if _, err := ok.normalize(); err != nil {
 		t.Errorf("in-range saxpy rejected: %v", err)
 	}
+}
+
+// FuzzJobParams drives job bodies through the router's admission path:
+// json.Unmarshal into Params, then Key. No input may panic, Key must be
+// deterministic, and a job Key accepts must be one a worker can run: N in
+// [1, MaxJobSize] and inline inputs of N² values in [0,1). The seed
+// corpus is under testdata/fuzz/FuzzJobParams.
+func FuzzJobParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var p Params
+		if err := json.Unmarshal(body, &p); err != nil {
+			return
+		}
+		key, err := p.Key()
+		again, errAgain := p.Key()
+		if key != again || (err == nil) != (errAgain == nil) {
+			t.Fatalf("Key is not deterministic: %q (%v), then %q (%v)", key, err, again, errAgain)
+		}
+		if err != nil {
+			return
+		}
+		if p.N < 1 || p.N > MaxJobSize {
+			t.Fatalf("accepted n=%d outside [1, %d]", p.N, MaxJobSize)
+		}
+		for _, in := range [][]float64{p.A, p.B} {
+			if in != nil && len(in) != p.N*p.N {
+				t.Fatalf("accepted inline input of length %d for n=%d", len(in), p.N)
+			}
+			for _, v := range in {
+				if !(v >= 0 && v < 1) {
+					t.Fatalf("accepted inline value %g outside [0,1)", v)
+				}
+			}
+		}
+	})
 }

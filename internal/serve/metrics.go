@@ -70,12 +70,6 @@ type Metrics struct {
 	// (see WritePrometheus) to keep the lock order acyclic.
 	queue  map[string]func() int       // by device: live depth probe
 	gauges map[string]func() PoolGauge // by device: residency/cache probes
-
-	// Engine configuration, set once by New before any worker starts:
-	// whether the cross-iteration tile-coherence cache is enabled, and
-	// whether the pipeline planner's proof-gated pass fusion is enabled.
-	coherence bool
-	fusion    bool
 }
 
 // PoolGauge is a point-in-time snapshot of one device pool's reuse state,
@@ -168,13 +162,6 @@ func (m *Metrics) batch(dev string, size int) {
 	}
 }
 
-// setEngineConfig records the worker engines' host-execution setup for
-// the static config gauges. Must happen before Start.
-func (m *Metrics) setEngineConfig(coherence, fusion bool) {
-	m.coherence = coherence
-	m.fusion = fusion
-}
-
 // pipelineRun accumulates one pipeline job's per-stage and fusion counters.
 func (m *Metrics) pipelineRun(dev string, stages, passesFused, elided int) {
 	m.mu.Lock()
@@ -195,20 +182,6 @@ func (m *Metrics) CoalescedBatches(dev string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.coalesced[dev]
-}
-
-// PoolHitRate returns a device's live tensor-pool hit rate (0 when the pool
-// is disabled or has seen no traffic).
-func (m *Metrics) PoolHitRate(dev string) float64 {
-	probe, ok := m.gauges[dev]
-	if !ok {
-		return 0
-	}
-	g := probe()
-	if g.PoolHits+g.PoolMisses == 0 {
-		return 0
-	}
-	return float64(g.PoolHits) / float64(g.PoolHits+g.PoolMisses)
 }
 
 // DeviceStats is one device pool's warmth and traffic snapshot, the JSON
@@ -346,18 +319,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for _, dev := range sortedKeys(m.batchJobs) {
 		appendf("gles2gpgpud_batched_jobs_total{device=%q} %d\n", dev, m.batchJobs[dev])
 	}
-	appendf("# HELP gles2gpgpud_engine_coherence_enabled Whether worker engines elide tiles with unchanged inputs across iterations (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_coherence_enabled gauge\n")
-	coherence := 0
-	if m.coherence {
-		coherence = 1
-	}
-	appendf("gles2gpgpud_engine_coherence_enabled %d\n", coherence)
-	appendf("# HELP gles2gpgpud_engine_fusion_enabled Whether the pipeline planner fuses proof-eligible adjacent passes on worker engines (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_fusion_enabled gauge\n")
-	fusion := 0
-	if m.fusion {
-		fusion = 1
-	}
-	appendf("gles2gpgpud_engine_fusion_enabled %d\n", fusion)
 	appendf("# HELP gles2gpgpud_pipeline_stages_total Pipeline stage dispatches executed.\n# TYPE gles2gpgpud_pipeline_stages_total counter\n")
 	for _, dev := range sortedKeys(m.pipeStages) {
 		appendf("gles2gpgpud_pipeline_stages_total{device=%q} %d\n", dev, m.pipeStages[dev])

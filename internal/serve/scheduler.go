@@ -46,15 +46,6 @@ type Config struct {
 	// Evicted runners release their tensors into the engine pool, so a
 	// rebuilt runner's allocations are pool hits.
 	MaxRunners int
-	// NoCoherence disables worker engines' cross-iteration tile-coherence
-	// cache, re-shading every tile on every draw. Host time only — results
-	// and virtual-time figures are bit-identical either way.
-	NoCoherence bool
-	// NoFuse disables proof-gated pass fusion in the pipeline planner for
-	// worker engines: pipeline jobs run every stage as its own pass. Host
-	// time only — results and virtual-time figures are bit-identical
-	// either way (the fusion contract).
-	NoFuse bool
 }
 
 func (c Config) withDefaults() Config {
@@ -126,8 +117,6 @@ type Scheduler struct {
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, metrics: newMetrics(), pools: map[string]*devicePool{}}
-	s.metrics.setEngineConfig(!cfg.NoCoherence && gles.DefaultCoherence(),
-		!cfg.NoFuse && pipeline.DefaultFuse())
 	for _, name := range cfg.Devices {
 		if _, dup := s.pools[name]; dup {
 			return nil, fmt.Errorf("serve: duplicate device %q", name)
@@ -509,8 +498,6 @@ func (w *worker) engineFor(n int) (*core.Engine, error) {
 		UseVBO:          true,
 		ProgramCache:    w.pool.progs,
 		TensorPoolBytes: w.pool.sched.cfg.TensorPoolBytes,
-		NoCoherence:     w.pool.sched.cfg.NoCoherence,
-		NoFuse:          w.pool.sched.cfg.NoFuse,
 	})
 	if err != nil {
 		return nil, err

@@ -75,8 +75,8 @@ func limitChecks(p *shader.Program, res Resources, lim shader.Limits) []struct {
 
 // CheckLimitsError verifies a program against a profile and returns the
 // first exceedance as a *shader.LimitError, or nil when the program fits.
-// This is the strict link-time check the GLES layer applies under
-// SetStrictLimits.
+// This is the strict link-time check the GLES layer applies when its
+// strict link limits are on.
 func CheckLimitsError(p *shader.Program, res Resources, lp LimitProfile) error {
 	for _, c := range limitChecks(p, res, lp.Limits) {
 		if c.limit > 0 && c.used > c.limit {

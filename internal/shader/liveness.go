@@ -51,16 +51,6 @@ func (m *MustWriteInfo) bit(file RegFile, reg uint16, comp int) int {
 	return (m.numTemps+int(reg))*4 + comp
 }
 
-// WrittenAt reports whether the given register component is definitely
-// written on every path reaching instruction i. Components in read-only
-// files (uniforms, inputs, constants) are trivially "written".
-func (m *MustWriteInfo) WrittenAt(i int, file RegFile, reg uint16, comp int) bool {
-	if file != FileTemp && file != FileOutput {
-		return true
-	}
-	return m.In[i].Get(m.bit(file, reg, comp))
-}
-
 // SrcWrittenAt reports whether every post-swizzle lane in lanes of source
 // operand s is definitely written when instruction i executes.
 func (m *MustWriteInfo) SrcWrittenAt(i int, s Src, lanes uint8) bool {

@@ -127,11 +127,11 @@ void main() { float a = x + 1.0; gl_FragColor = vec4(a); }`)
 	}
 
 	// The debug override restores the old exhaustive zeroing.
-	DebugClearTemps = true
-	defer func() { DebugClearTemps = false }()
+	debugClearTemps = true
+	defer func() { debugClearTemps = false }()
 	env.Reset()
 	if env.Temps[0] != (Vec4{}) {
-		t.Error("DebugClearTemps did not force temp zeroing")
+		t.Error("debugClearTemps did not force temp zeroing")
 	}
 }
 

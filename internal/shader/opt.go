@@ -23,10 +23,7 @@ package shader
 // SetOptimized validates the contract; the differential tests in
 // internal/shader/analysis prove bit-exact outputs on top of it.
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // OptProgram is the optimised execution form of a Program produced by the
 // analysis pass pipeline. Insts parallels Program.Insts index-for-index;
@@ -44,15 +41,6 @@ type OptProgram struct {
 	PropagatedSrcs int // source operands rewritten through copies
 	FoldedConsts   int // source operands replaced by constants
 }
-
-// noPassesEnv disables use of optimisation passes process-wide; read once
-// at init.
-var noPassesEnv = os.Getenv("GLES2GPGPU_NO_PASSES") != ""
-
-// DefaultPasses reports whether the optimisation passes are enabled by
-// default (they are, unless GLES2GPGPU_NO_PASSES is set in the
-// environment).
-func DefaultPasses() bool { return !noPassesEnv }
 
 // SetOptimized attaches the pass-pipeline result to p after validating the
 // virtual-time contract documented above. It is safe to call concurrently

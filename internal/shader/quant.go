@@ -34,10 +34,6 @@ var decodeChannelTable = func() (t [256]float32) {
 	return
 }()
 
-// DecodeChannelByte converts a framebuffer byte back to the float32 value a
-// texture sample of it returns.
-func DecodeChannelByte(b byte) float32 { return decodeChannelTable[b] }
-
 // QuantizeChannel is the full store-then-sample round trip for one channel:
 // decode(encode(v)). OpQUANT applies this per masked component.
 func QuantizeChannel(v float32) float32 {

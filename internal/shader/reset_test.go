@@ -77,8 +77,8 @@ void main() { gl_FragColor = vec4(x); }`)
 	}
 }
 
-// TestResetDebugOverrideZeroesOutputs: the GLES2GPGPU_CLEAR_TEMPS escape
-// hatch disables the output skip along with the temp skip.
+// TestResetDebugOverrideZeroesOutputs: debugClearTemps disables the output
+// skip along with the temp skip.
 func TestResetDebugOverrideZeroesOutputs(t *testing.T) {
 	p := compileFS(t, `void main() { gl_FragColor = vec4(1.0); }`)
 	if !p.OutputsAlwaysWritten {
@@ -88,10 +88,10 @@ func TestResetDebugOverrideZeroesOutputs(t *testing.T) {
 	for i := range env.Outputs {
 		env.Outputs[i] = Vec4{5, 5, 5, 5}
 	}
-	DebugClearTemps = true
-	defer func() { DebugClearTemps = false }()
+	debugClearTemps = true
+	defer func() { debugClearTemps = false }()
 	env.Reset()
 	if env.Outputs[0] != (Vec4{}) {
-		t.Error("DebugClearTemps did not force output zeroing")
+		t.Error("debugClearTemps did not force output zeroing")
 	}
 }

@@ -3,7 +3,6 @@ package shader
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // Vec4 is one register value.
@@ -66,11 +65,10 @@ func maxi(a, b int) int {
 	return b
 }
 
-// DebugClearTemps forces Reset to zero all Temps even for programs proven
-// to write each temp before reading it. Set it (or the
-// GLES2GPGPU_CLEAR_TEMPS environment variable, read at init) when
-// debugging suspected liveness-analysis bugs.
-var DebugClearTemps = os.Getenv("GLES2GPGPU_CLEAR_TEMPS") != ""
+// debugClearTemps forces Reset to zero all Temps even for programs proven
+// to write each temp before reading it. Tests set it to exercise the
+// exhaustive zeroing.
+var debugClearTemps bool
 
 // Reset prepares the Env for another invocation of the same program.
 // Outputs are read externally (gl_Position, varyings, gl_FragColor) even
@@ -79,11 +77,11 @@ var DebugClearTemps = os.Getenv("GLES2GPGPU_CLEAR_TEMPS") != ""
 // non-discarding exit (OutputsAlwaysWritten; discarded invocations'
 // outputs are never read). Temps are only zeroed when the program could
 // observe stale values, i.e. when the compiler could not prove every temp
-// is written before read. DebugClearTemps disables both liveness-based
+// is written before read. debugClearTemps disables both liveness-based
 // skips.
 func (e *Env) Reset() {
 	e.Discarded = false
-	proofs := e.prog != nil && !DebugClearTemps
+	proofs := e.prog != nil && !debugClearTemps
 	if !(proofs && e.prog.OutputsAlwaysWritten) {
 		for i := range e.Outputs {
 			e.Outputs[i] = Vec4{}

@@ -393,9 +393,9 @@ func TestRoutedChaosKillRestart(t *testing.T) {
 	}
 }
 
-// directPyramidRun executes a pyramid pipeline job on a fresh engine with
-// fusion off and returns the last level — the oracle for a routed
-// pipeline result, whose N is smaller than the job's.
+// directPyramidRun executes a pyramid pipeline job on a fresh default
+// engine and returns the last level — the oracle for a routed pipeline
+// result, whose N is smaller than the job's.
 func directPyramidRun(t *testing.T, p serve.Params) []float64 {
 	t.Helper()
 	prof, err := device.ByName(p.Device)
@@ -408,7 +408,6 @@ func directPyramidRun(t *testing.T, p serve.Params) []float64 {
 		Swap:   core.SwapNone,
 		Target: core.TargetTexture,
 		UseVBO: true,
-		NoFuse: true,
 	})
 	if err != nil {
 		t.Fatal(err)
