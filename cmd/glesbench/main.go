@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -37,32 +39,50 @@ import (
 // figures lists the -fig values in the order a full run prints them.
 var figures = []string{"3", "vbo", "4a", "4b", "5a", "5b", "journey", "ablation"}
 
-func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: "+strings.Join(figures, ", ")+" or all")
-	size := flag.Int("size", 1024, "matrix dimension for timing runs (paper: 1024)")
-	calib := flag.Int("calib", 64, "matrix dimension for the functional validation run")
-	iters := flag.Int("iters", 100, "measured benchmark-body repetitions")
-	workers := flag.Int("workers", 0, "host fragment-shading workers (0: GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// realMain runs glesbench with args and returns the process exit code.
+// Every failure returns rather than exits, so the deferred profile writers
+// always flush.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("glesbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to reproduce: "+strings.Join(figures, ", ")+" or all")
+	size := fs.Int("size", 1024, "matrix dimension for timing runs (paper: 1024)")
+	calib := fs.Int("calib", 64, "matrix dimension for the functional validation run")
+	iters := fs.Int("iters", 100, "measured benchmark-body repetitions")
+	workers := fs.Int("workers", 0, "host fragment-shading workers (0: GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *fig != "all" && !slices.Contains(figures, *fig) {
-		fmt.Fprintf(os.Stderr, "glesbench: unknown figure %q (want %s or all)\n", *fig, strings.Join(figures, ", "))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "glesbench: unknown figure %q (want %s or all)\n", *fig, strings.Join(figures, ", "))
+		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "glesbench: cpuprofile: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			fmt.Fprintf(stderr, "glesbench: cpuprofile: %v\n", err)
+			return 1
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "glesbench: cpuprofile: %v\n", err)
+			}
+		}()
 	}
 	defer func() {
 		if *memprofile == "" {
@@ -70,13 +90,15 @@ func main() {
 		}
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "glesbench: memprofile: %v\n", err)
 			return
 		}
-		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "glesbench: memprofile: %v\n", err)
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(stderr, "glesbench: memprofile: %v\n", err)
 		}
 	}()
 
@@ -88,75 +110,85 @@ func main() {
 	o := bench.Opts{
 		PaperSize: *size, CalibSize: *calib, Iters: *iters, Workers: *workers,
 	}
-	devs := bench.Devices()
-	// Host wall-clock reporting goes to stderr so stdout stays
-	// byte-comparable with the recorded reference output.
-	recordHost := func(name string, d time.Duration) {
-		fmt.Fprintf(os.Stderr, "glesbench: figure %s: host %v\n", name, d.Round(time.Millisecond))
+	if err := runFigures(ctx, *fig, o, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "glesbench: %v\n", err)
+		return 1
 	}
-	run := func(name string, f func() (interface{ Table() *bench.Table }, error)) {
-		if *fig != "all" && *fig != name {
-			return
-		}
-		hostStart := time.Now()
-		r, err := f()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "glesbench: figure %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		recordHost(name, time.Since(hostStart))
-		if err := r.Table().Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	return 0
+}
 
-	run("3", func() (interface{ Table() *bench.Table }, error) {
-		r, err := bench.Fig3(ctx, devs, o)
-		if err == nil {
-			defer fmt.Printf("Headline: best sum speedup over the ES2-best-practices baseline: %.1fx (paper: >16x)\n\n", r.Headline)
+// tabler is any figure result that renders as a table.
+type tabler interface{ Table() *bench.Table }
+
+// runFigures prints the selected figure (or every figure for "all") to
+// stdout and its host wall-clock time to stderr, so stdout stays
+// byte-comparable with the recorded reference output.
+func runFigures(ctx context.Context, fig string, o bench.Opts, stdout, stderr io.Writer) error {
+	devs := bench.Devices()
+	run := func(name string, f func() ([]tabler, error)) error {
+		if fig != "all" && fig != name {
+			return nil
 		}
-		return r, err
-	})
-	run("vbo", func() (interface{ Table() *bench.Table }, error) { return bench.FigVBO(ctx, devs, o) })
-	run("4a", func() (interface{ Table() *bench.Table }, error) { return bench.Fig4a(ctx, devs, o) })
-	run("4b", func() (interface{ Table() *bench.Table }, error) { return bench.Fig4b(ctx, devs, o) })
-	run("5a", func() (interface{ Table() *bench.Table }, error) {
-		return bench.Fig5(ctx, devs, core.TargetTexture, o)
-	})
-	run("5b", func() (interface{ Table() *bench.Table }, error) {
-		return bench.Fig5(ctx, devs, core.TargetFramebuffer, o)
-	})
-	if *fig == "all" || *fig == "journey" {
 		hostStart := time.Now()
-		for _, dev := range devs {
-			for _, spec := range []bench.Spec{{Workload: bench.WSum}, {Workload: bench.WSgemm, Block: 16}} {
-				r, err := bench.Incremental(ctx, dev, spec, o)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "glesbench: journey: %v\n", err)
-					os.Exit(1)
-				}
-				if err := r.Table().Write(os.Stdout); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
+		rs, err := f()
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", name, err)
+		}
+		fmt.Fprintf(stderr, "glesbench: figure %s: host %v\n", name, time.Since(hostStart).Round(time.Millisecond))
+		for _, r := range rs {
+			if err := r.Table().Write(stdout); err != nil {
+				return err
 			}
 		}
-		recordHost("journey", time.Since(hostStart))
+		return nil
 	}
-	if *fig == "all" || *fig == "ablation" {
-		hostStart := time.Now()
-		for _, dev := range devs {
-			r, err := bench.Ablation(ctx, dev, o)
+	one := func(r tabler, err error) ([]tabler, error) { return []tabler{r}, err }
+
+	for _, f := range []struct {
+		name string
+		run  func() ([]tabler, error)
+	}{
+		{"3", func() ([]tabler, error) {
+			r, err := bench.Fig3(ctx, devs, o)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "glesbench: ablation: %v\n", err)
-				os.Exit(1)
+				return nil, err
 			}
-			if err := r.Table().Write(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			fmt.Fprintf(stdout, "Headline: best sum speedup over the ES2-best-practices baseline: %.1fx (paper: >16x)\n\n", r.Headline)
+			return []tabler{r}, nil
+		}},
+		{"vbo", func() ([]tabler, error) { return one(bench.FigVBO(ctx, devs, o)) }},
+		{"4a", func() ([]tabler, error) { return one(bench.Fig4a(ctx, devs, o)) }},
+		{"4b", func() ([]tabler, error) { return one(bench.Fig4b(ctx, devs, o)) }},
+		{"5a", func() ([]tabler, error) { return one(bench.Fig5(ctx, devs, core.TargetTexture, o)) }},
+		{"5b", func() ([]tabler, error) { return one(bench.Fig5(ctx, devs, core.TargetFramebuffer, o)) }},
+		{"journey", func() ([]tabler, error) {
+			var rs []tabler
+			for _, dev := range devs {
+				for _, spec := range []bench.Spec{{Workload: bench.WSum}, {Workload: bench.WSgemm, Block: 16}} {
+					r, err := bench.Incremental(ctx, dev, spec, o)
+					if err != nil {
+						return nil, err
+					}
+					rs = append(rs, r)
+				}
 			}
+			return rs, nil
+		}},
+		{"ablation", func() ([]tabler, error) {
+			var rs []tabler
+			for _, dev := range devs {
+				r, err := bench.Ablation(ctx, dev, o)
+				if err != nil {
+					return nil, err
+				}
+				rs = append(rs, r)
+			}
+			return rs, nil
+		}},
+	} {
+		if err := run(f.name, f.run); err != nil {
+			return err
 		}
-		recordHost("ablation", time.Since(hostStart))
 	}
+	return nil
 }

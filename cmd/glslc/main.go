@@ -7,7 +7,7 @@
 // Usage:
 //
 //	glslc [-stage fragment|vertex] [-device vc4|sgx|generic]
-//	      [-D NAME=VALUE]... [-cycles] [-lint] [-passes]
+//	      [-D NAME=VALUE]... [-cycles] [-lint]
 //	      [-limits vc4|sgx|generic|all] file.glsl
 //
 // With no file, the source is read from standard input.
@@ -44,7 +44,6 @@ func main() {
 	dev := flag.String("device", "generic", "device profile for limits and cycle costs: vc4, sgx or generic")
 	cycles := flag.Bool("cycles", true, "print the static cycle estimate")
 	lint := flag.Bool("lint", false, "run the static-analysis diagnostics (same rules as glslint)")
-	passes := flag.Bool("passes", false, "run the host optimisation passes and report what they did")
 	limits := flag.String("limits", "", "check dataflow-derived resource usage against a device profile: vc4, sgx, generic or all")
 	defines := defineFlags{}
 	flag.Var(defines, "D", "preprocessor define NAME=VALUE (repeatable)")
@@ -125,14 +124,6 @@ func main() {
 		}
 	}
 	failed := false
-	if *passes {
-		if o := analysis.Optimize(prog); o != nil {
-			fmt.Printf("; passes: %d dead instructions, %d operands folded to constants, %d copies propagated\n",
-				o.DeadInsts, o.FoldedConsts, o.PropagatedSrcs)
-		} else {
-			fmt.Println("; passes: empty program, nothing to do")
-		}
-	}
 	if *limits != "" {
 		res := analysis.CountResources(analysis.BuildCFG(prog))
 		exact := "longest path"

@@ -49,8 +49,8 @@ func measureOn(t *testing.T, setup func(*core.Engine), repeat bool) ([]measured,
 }
 
 // TestFiguresIdenticalOnReferencePaths is the oracle for the host paths no
-// user can select: with the optimisation passes, tile coherence or the
-// quad fast path off, and at 1 or 4 shading workers, every figure, journey
+// user can select: with tile coherence or the quad fast path off, and at
+// 1 or 4 shading workers, every figure, journey
 // and ablation Result equals the default run's, and so does every
 // calibration output. Coherence off also compares the output of a
 // repeated iteration, the only place tiles replay; the other paths skip
@@ -62,7 +62,6 @@ func TestFiguresIdenticalOnReferencePaths(t *testing.T) {
 		setup  func(*core.Engine)
 		repeat bool
 	}{
-		{"passes off", func(e *core.Engine) { e.GL().SetPasses(false) }, false},
 		{"coherence off", func(e *core.Engine) { e.GL().SetCoherence(false) }, true},
 		{"quad fast path off", func(*core.Engine) { raster.SetQuadFast(false) }, false},
 		{"workers 1", func(e *core.Engine) { e.GL().SetWorkers(1) }, false},

@@ -128,9 +128,8 @@ type Config struct {
 	// contents and cycle counters are bit-identical at any setting (see
 	// internal/gles/parallel.go). 0 means GOMAXPROCS; 1 forces serial
 	// shading. It is the only host-execution setting: every other host
-	// path (optimisation passes, tile coherence, pass fusion, the quad
-	// fast path) is always on, and its reference path is reachable only
-	// from tests.
+	// path (tile coherence, pass fusion, the quad fast path) is always
+	// on, and its reference path is reachable only from tests.
 	Workers int
 
 	// ProgramCache, when non-nil, shares compiled shaders across engines:

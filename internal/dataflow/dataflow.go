@@ -4,9 +4,8 @@
 //
 // The package is deliberately dependency-free so both internal/shader (the
 // must-write liveness proof that gates the parallel fragment engine) and
-// internal/shader/analysis (the device-limit checker, optimisation passes
-// and lint diagnostics) can build on the same fixpoint engine without an
-// import cycle.
+// internal/shader/analysis (the device-limit checker and lint diagnostics)
+// can build on the same fixpoint engine without an import cycle.
 //
 // Lattices are bitvectors. A "must" problem meets with intersection and
 // initialises non-entry nodes to top (all ones); a "may" problem meets with
@@ -44,13 +43,6 @@ func (b BitSet) Clear(i int) { b[i/64] &^= 1 << uint(i%64) }
 func (b BitSet) Fill() {
 	for w := range b {
 		b[w] = ^uint64(0)
-	}
-}
-
-// Zero clears every word.
-func (b BitSet) Zero() {
-	for w := range b {
-		b[w] = 0
 	}
 }
 

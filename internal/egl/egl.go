@@ -114,9 +114,6 @@ func (s *Surface) BackPixels() []byte { return s.store(s.back) }
 // FrontRes returns the displayed buffer's handle.
 func (s *Surface) FrontRes() gpu.ResID { return s.bufRes[1-s.back] }
 
-// FrontPixels returns the displayed buffer's pixel store.
-func (s *Surface) FrontPixels() []byte { return s.store(1 - s.back) }
-
 // store returns buffer i's pixel store, allocating it on first use. A
 // pbuffer's two views share buffer 0.
 func (s *Surface) store(i int) []byte {

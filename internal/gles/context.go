@@ -231,12 +231,6 @@ type Context struct {
 	// Tests set it to obtain the oracle the fast path is compared against.
 	interpOnly bool
 
-	// passes selects the optimised program form (DCE + copy/constant
-	// propagation, attached at CompileShader time) for draws. The
-	// OptProgram contract (internal/shader/opt.go) keeps framebuffer
-	// bytes and virtual time bit-identical; only host work changes.
-	passes bool
-
 	// laneFallbackDraws counts draws whose fragment program has no lane
 	// form and therefore shade on the per-fragment interpreter — the
 	// fast-path adoption signal exported by the daemon as
@@ -310,7 +304,6 @@ func NewContext(ec *egl.Context) *Context {
 		statCache:    make(map[statKey]drawStats),
 		progCache:    make(map[shaderCacheKey]shaderCacheEntry),
 		workers:      runtime.GOMAXPROCS(0),
-		passes:       true,
 		coherence:    true,
 		cohCache:     make(map[cohKey]*cohDraw),
 	}
@@ -371,16 +364,6 @@ func (c *Context) SetFunctionalOnly(on bool) { c.functionalOnly = on }
 
 // FunctionalOnly reports the functional-only-mode state.
 func (c *Context) FunctionalOnly() bool { return c.functionalOnly }
-
-// SetPasses selects whether draws execute the optimised program form
-// produced by the analysis pass pipeline (DCE + copy/constant
-// propagation). It is on by default and exists for tests: results are
-// bit-identical either way — the OptProgram contract charges dead
-// instructions their cycle cost and counts dead texture fetches — so the
-// unoptimised form is the reference the parity tests compare against.
-// Call it before the first CompileShader: the optimised form is attached
-// at compile time.
-func (c *Context) SetPasses(on bool) { c.passes = on }
 
 // LaneFallbackDraws returns the number of draws whose fragment program
 // failed lane and mask eligibility and therefore shaded per-fragment on

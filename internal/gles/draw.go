@@ -181,8 +181,8 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	fsEnv.Sample = envSampler(samplers)
 
 	cost := &c.prof.CostModel
-	execVS := shader.Executor(vp, cost, c.passes)
-	execFS := shader.Executor(fp, cost, c.passes)
+	execVS := shader.Executor(vp, cost)
+	execFS := shader.Executor(fp, cost)
 
 	// Fast-path selection: a fragment program with a lane form shades its
 	// triangles in lane batches over tiles (tiled.go). Every other draw —

@@ -291,6 +291,43 @@ void main() {
 	if (v_tex.x > 0.5) discard;
 	gl_FragColor = vec4(v_tex, 0.5, 1.0);
 }`)},
+		// Dead assignments, a copy of a uniform, constant subexpressions,
+		// texturing and an unrolled loop in one straight-line kernel.
+		{"dead-and-copies", 64, 64, func(gl *Context) uint32 {
+			checkerTexture(gl, 64, 64)
+			p := buildProgram(t, gl, quadVS, `
+precision mediump float;
+varying vec2 v_tex;
+uniform sampler2D u_tex;
+uniform float u_k;
+void main() {
+	float dead = v_tex.x * 3.0 + u_k;
+	dead = dead * dead;
+	float copy = u_k;
+	float folded = (0.25 + 0.5) * 0.5;
+	vec4 s = texture2D(u_tex, v_tex);
+	float acc = 0.0;
+	for (int i = 0; i < 4; i++) {
+		acc += s.x * copy + folded;
+	}
+	gl_FragColor = vec4(fract(acc), s.yz, 1.0);
+}`)
+			gl.UseProgram(p)
+			gl.Uniform1i(gl.GetUniformLocation(p, "u_tex"), 0)
+			gl.Uniform1f(gl.GetUniformLocation(p, "u_k"), 0.37)
+			drawQuad(t, gl, p)
+			return p
+		}},
+		// A dead assignment ahead of a data-dependent discard: killed
+		// fragments still charge the dead instruction's cycles.
+		{"dead-discard", 64, 64, plainQuad(t, `
+precision mediump float;
+varying vec2 v_tex;
+void main() {
+	float unused = v_tex.y * 9.0;
+	if (v_tex.x > 0.5) discard;
+	gl_FragColor = vec4(v_tex, 0.5, 1.0);
+}`)},
 		// A data-dependent if/else (the jacobi shape) compiles to real
 		// control flow and runs divergence-masked.
 		{"branchy", 32, 32, plainQuad(t, `

@@ -76,12 +76,6 @@ func (c *Context) laneCompiledFor(fp *shader.Program) *shader.LaneCompiled {
 		return nil
 	}
 	cost := &c.prof.CostModel
-	if c.passes {
-		if lc := fp.LaneCompiledOpt(cost, shader.LaneWidth); lc != nil {
-			return lc
-		}
-		return fp.MaskedLaneCompiledOpt(cost, shader.LaneWidth)
-	}
 	if lc := fp.LaneCompiled(cost, shader.LaneWidth); lc != nil {
 		return lc
 	}

@@ -76,7 +76,7 @@ func (c *Context) CompileShader(name uint32) {
 	// published fully built, so a hit needs no further work beyond copying
 	// it into the per-context cache.
 	if c.sharedCache != nil {
-		if e, ok := c.sharedCache.lookup(key, c.passes); ok {
+		if e, ok := c.sharedCache.lookup(key); ok {
 			s.checked, s.compiled = e.checked, e.compiled
 			c.progCache[key] = e
 			return
@@ -100,25 +100,15 @@ func (c *Context) CompileShader(name uint32) {
 		return
 	}
 	prog.Source = s.source
-	// Attach the host-side optimisation passes (dead-code elimination,
-	// copy/constant propagation). They are cycle-neutral by contract —
-	// SetOptimized validates the instruction shapes and the differential
-	// tests prove bit-exact outputs — so a validation failure just means
-	// executing the unoptimised form.
-	if c.passes {
-		if o := analysis.Optimize(prog); o != nil {
-			_ = prog.SetOptimized(o)
-		}
-	}
 	s.checked = cs
 	s.compiled = prog
 	c.progCache[key] = shaderCacheEntry{checked: cs, compiled: prog}
 	if c.sharedCache != nil {
-		// Publish only after the program is fully built (limits checked,
-		// passes attached): other contexts execute it as-is. A concurrent
-		// first compile in two contexts at worst compiles twice; last
-		// store wins and both artefacts are individually correct.
-		c.sharedCache.store(key, c.passes, shaderCacheEntry{checked: cs, compiled: prog})
+		// Publish only after the program is fully built (limits checked):
+		// other contexts execute it as-is. A concurrent first compile in
+		// two contexts at worst compiles twice; last store wins and both
+		// artefacts are individually correct.
+		c.sharedCache.store(key, shaderCacheEntry{checked: cs, compiled: prog})
 	}
 }
 

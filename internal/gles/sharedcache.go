@@ -16,33 +16,24 @@ import "sync"
 // Profile copies would thrash them (correct, but recompiling per draw),
 // and compile-time limit checks must agree.
 //
-// The optimised program form is attached at first compile, so the cache
-// key includes the pass-pipeline setting: a test context that turned the
-// passes off (SetPasses) never shares with a default one.
-//
 // All methods are safe for concurrent use.
 type SharedProgramCache struct {
 	mu      sync.Mutex
-	entries map[sharedCacheKey]shaderCacheEntry
+	entries map[shaderCacheKey]shaderCacheEntry
 	hits    int64
 	misses  int64
 }
 
-type sharedCacheKey struct {
-	key    shaderCacheKey
-	passes bool
-}
-
 // NewSharedProgramCache returns an empty cache.
 func NewSharedProgramCache() *SharedProgramCache {
-	return &SharedProgramCache{entries: make(map[sharedCacheKey]shaderCacheEntry)}
+	return &SharedProgramCache{entries: make(map[shaderCacheKey]shaderCacheEntry)}
 }
 
 // lookup returns the cached entry for key, counting a hit or miss.
-func (s *SharedProgramCache) lookup(key shaderCacheKey, passes bool) (shaderCacheEntry, bool) {
+func (s *SharedProgramCache) lookup(key shaderCacheKey) (shaderCacheEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[sharedCacheKey{key: key, passes: passes}]
+	e, ok := s.entries[key]
 	if ok {
 		s.hits++
 	} else {
@@ -52,12 +43,12 @@ func (s *SharedProgramCache) lookup(key shaderCacheKey, passes bool) (shaderCach
 }
 
 // store publishes a successful compilation. The entry's artefacts must be
-// fully built (passes attached) before store: after publication other
+// fully built (limits checked) before store: after publication other
 // contexts execute them without further synchronisation.
-func (s *SharedProgramCache) store(key shaderCacheKey, passes bool, e shaderCacheEntry) {
+func (s *SharedProgramCache) store(key shaderCacheKey, e shaderCacheEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries[sharedCacheKey{key: key, passes: passes}] = e
+	s.entries[key] = e
 }
 
 // Stats returns the lookup hit/miss counters.

@@ -1,8 +1,7 @@
 // Package analysis is the static-analysis framework over the shader IR:
 // CFG construction, dominators, def-use chains, sparse conditional
 // constant propagation, per-path resource counting, device-profile limit
-// checking, the verified optimisation passes (dead-code elimination and
-// copy/constant propagation) and the glslint diagnostics.
+// checking and the glslint diagnostics.
 //
 // The package reproduces the paper's central static claims: whether a
 // kernel compiles at all on a low-end mobile GPU is a static property

@@ -513,3 +513,15 @@ func (f *Footprint) SlotRect(si int, uniforms [][4]float32, inBounds func(reg, c
 	}
 	return r, true
 }
+
+// srcOperand returns a pointer to operand k (0=A, 1=B, 2=C) of in.
+func srcOperand(in *shader.Inst, k int) *shader.Src {
+	switch k {
+	case 0:
+		return &in.A
+	case 1:
+		return &in.B
+	default:
+		return &in.C
+	}
+}

@@ -9,13 +9,16 @@ import (
 	"gles2gpgpu/internal/shader"
 )
 
-// FuzzPassPipeline drives the whole static-analysis stack — CFG, def-use,
-// SCCP, resource counting, lint, the optimisation passes — with arbitrary
-// GLSL, then differentially executes any program that survives the front
-// end: the optimised form must match the reference interpreter bit-for-bit
-// on outputs and exactly on Cycles/TexFetches/Discarded. Panics, parity
-// breaks and compiled programs the masked lane engine rejects are all fuzz
-// failures; rejected sources are simply uninteresting.
+// FuzzPassPipeline drives arbitrary GLSL through the front end and the
+// whole static-analysis stack — CFG, def-use, SCCP, resource counting,
+// lint, mask safety — then differentially executes any program that
+// survives: one batch of shader.LaneWidth lanes with distinct inputs on
+// the masked lane engine (and on the straight-line engine when the program
+// has no real control flow) must match one reference-interpreter run per
+// lane on every output bit, the Discarded flag, Cycles and TexFetches.
+// Panics, parity breaks and compiled programs the masked lane engine
+// rejects are all fuzz failures; rejected sources are simply
+// uninteresting.
 func FuzzPassPipeline(f *testing.F) {
 	f.Add("precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }\n")
 	f.Add("precision mediump float;\nuniform float u;\nvoid main() {\n" +
@@ -27,6 +30,9 @@ func FuzzPassPipeline(f *testing.F) {
 		"void main() {\n\tfloat r = a.x * b.x + a.y * b.y;\n" +
 		"\tfor (int i = 0; i < 3; i++) { r = r * 0.5 + 0.1; }\n\tgl_FragColor = vec4(r);\n}\n")
 	f.Add("precision mediump float;\nvoid main() { float x; gl_FragColor = vec4(x); }\n")
+	f.Add("precision mediump float;\nvarying vec2 v;\nvoid main() {\n" +
+		"\tfloat a = fract(v.x * 7.3) + floor(v.y * 5.0);\n" +
+		"\tgl_FragColor = vec4(a, sqrt(v.y), sin(v.x * 6.28), pow(v.y + 0.1, 2.2));\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		cs, err := glsl.Frontend(src, glsl.CompileOptions{Stage: glsl.StageFragment})
 		if err != nil {
@@ -53,56 +59,108 @@ func FuzzPassPipeline(f *testing.F) {
 		if execReason != "" {
 			t.Fatalf("compiled program rejected by the masked lane engine: %s", execReason)
 		}
-		o := Optimize(p)
-		if o == nil {
-			return
+		expectLaneParity(t, p)
+	})
+}
+
+// fuzzSample is a deterministic texture fetch: a cheap hash of its
+// arguments.
+func fuzzSample(idx int, u, v float32) shader.Vec4 {
+	h := math.Float32bits(u)*2654435761 + math.Float32bits(v)*40503 + uint32(idx)*97
+	f := func(s uint32) float32 { return float32((h>>s)&0xFF) / 255 }
+	return shader.Vec4{f(0), f(8), f(16), f(24)}
+}
+
+// expectLaneParity runs p on the reference interpreter once per lane and
+// on each lane engine that compiles it over one full batch with the same
+// uniforms and per-lane inputs, and fails on any difference in per-lane
+// outputs or Discarded flags or in the summed Cycles and TexFetches.
+// Outputs of discarded lanes are compared too: the masked engine executes
+// exactly the interpreter's prefix for such a lane. As in the shader
+// package's own differential tests, all NaNs form one equivalence class,
+// because NaN payload propagation is codegen-defined.
+func expectLaneParity(t *testing.T, p *shader.Program) {
+	t.Helper()
+	const w = shader.LaneWidth
+	cost := shader.DefaultCostModel()
+	rng := rand.New(rand.NewSource(7))
+	randVec := func() shader.Vec4 {
+		return shader.Vec4{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
+	}
+	uni := make([]shader.Vec4, p.NumUniform)
+	for i := range uni {
+		uni[i] = randVec()
+	}
+	inputs := make([][]shader.Vec4, w)
+	for l := range inputs {
+		inputs[l] = make([]shader.Vec4, p.NumInputs)
+		for i := range inputs[l] {
+			inputs[l][i] = randVec()
 		}
-		if err := p.SetOptimized(o); err != nil {
-			t.Fatalf("Optimize broke the OptProgram contract: %v", err)
+	}
+
+	wantOut := make([][]shader.Vec4, w)
+	wantDiscard := make([]bool, w)
+	var wantCycles, wantTex int64
+	for l := 0; l < w; l++ {
+		env := shader.NewEnv(p)
+		env.Sample = fuzzSample
+		copy(env.Uniforms, uni)
+		copy(env.Inputs, inputs[l])
+		if err := shader.Run(p, env, &cost); err != nil {
+			t.Fatalf("interpreter lane %d: %v\n%s", l, err, p.Disassemble())
 		}
-		cost := shader.DefaultCostModel()
-		mkEnv := func() *shader.Env {
-			env := shader.NewEnv(p)
-			rng := rand.New(rand.NewSource(7))
-			for i := range env.Uniforms {
-				for c := 0; c < 4; c++ {
-					env.Uniforms[i][c] = rng.Float32()
-				}
+		wantOut[l] = env.Outputs
+		wantDiscard[l] = env.Discarded
+		wantCycles += env.Cycles
+		wantTex += env.TexFetches
+	}
+
+	masked := p.MaskedLaneCompiled(&cost, w)
+	if masked == nil {
+		t.Fatalf("mask-eligible program did not compile on the masked lane engine:\n%s", p.Disassemble())
+	}
+	type engine struct {
+		name string
+		lc   *shader.LaneCompiled
+	}
+	engines := []engine{{"masked", masked}}
+	if lc := p.LaneCompiled(&cost, w); lc != nil {
+		engines = append(engines, engine{"straight-line", lc})
+	}
+	for _, eng := range engines {
+		le := shader.NewLaneEnv(p, w)
+		le.Sample = fuzzSample
+		le.SetUniforms(uni)
+		for l := range inputs {
+			for reg, v := range inputs[l] {
+				le.SetInput(l, reg, v)
 			}
-			for i := range env.Inputs {
-				for c := 0; c < 4; c++ {
-					env.Inputs[i][c] = rng.Float32()
-				}
+		}
+		le.N = w
+		eng.lc.Run(le)
+		if le.Cycles != wantCycles || le.TexFetches != wantTex {
+			t.Fatalf("%s: counters diverge: cycles %d, interpreter %d; tex %d, interpreter %d\n%s",
+				eng.name, le.Cycles, wantCycles, le.TexFetches, wantTex, p.Disassemble())
+		}
+		for l := 0; l < w; l++ {
+			if le.Discarded[l] != wantDiscard[l] {
+				t.Fatalf("%s: lane %d Discarded %v, interpreter %v\n%s",
+					eng.name, l, le.Discarded[l], wantDiscard[l], p.Disassemble())
 			}
-			env.Sample = func(idx int, u, v float32) shader.Vec4 {
-				h := math.Float32bits(u)*2654435761 + math.Float32bits(v)*40503 + uint32(idx)*97
-				f := func(s uint32) float32 { return float32((h>>s)&0xFF) / 255 }
-				return shader.Vec4{f(0), f(8), f(16), f(24)}
-			}
-			env.Reset()
-			return env
-		}
-		ref, opt := mkEnv(), mkEnv()
-		errRef := shader.Run(p, ref, &cost)
-		errOpt := shader.RunOptimized(p, opt, &cost)
-		if (errRef == nil) != (errOpt == nil) {
-			t.Fatalf("execution disagreement: interp err=%v, passes err=%v", errRef, errOpt)
-		}
-		if errRef != nil {
-			return
-		}
-		if ref.Discarded != opt.Discarded || ref.Cycles != opt.Cycles || ref.TexFetches != opt.TexFetches {
-			t.Fatalf("counter divergence: discarded %v/%v cycles %d/%d tex %d/%d",
-				ref.Discarded, opt.Discarded, ref.Cycles, opt.Cycles, ref.TexFetches, opt.TexFetches)
-		}
-		if !ref.Discarded {
-			for i := range ref.Outputs {
+			for reg, want := range wantOut[l] {
+				got := le.Output(l, reg)
 				for c := 0; c < 4; c++ {
-					if math.Float32bits(ref.Outputs[i][c]) != math.Float32bits(opt.Outputs[i][c]) {
-						t.Fatalf("output o%d.%d diverges: %v vs %v", i, c, ref.Outputs[i][c], opt.Outputs[i][c])
+					if want[c] != want[c] && got[c] != got[c] {
+						continue // both NaN: equivalent
+					}
+					if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+						t.Fatalf("%s: lane %d output o%d.%d = %v (%#08x), interpreter %v (%#08x)\n%s",
+							eng.name, l, reg, c, got[c], math.Float32bits(got[c]),
+							want[c], math.Float32bits(want[c]), p.Disassemble())
 					}
 				}
 			}
 		}
-	})
+	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Lint rules driven by the uniformity, value-range and footprint lattices.
 //
-// These surface what the optimisation passes see, so a kernel author can
+// These surface what the analyses see, so a kernel author can
 // tell WHY a program did or did not take a fast path: a branch the
 // uniformity analysis proved uniform (every fragment in a draw takes the
 // same arm), a discard that actually diverges, a clamp the range analysis

@@ -3,6 +3,10 @@ package analysis
 import (
 	"strings"
 	"testing"
+
+	"gles2gpgpu/internal/glsl"
+	"gles2gpgpu/internal/kernels"
+	"gles2gpgpu/internal/shader"
 )
 
 // findByCode filters findings by rule code.
@@ -411,4 +415,68 @@ void main() {
 	if len(findByCode(fs, "lane-eligible")) != 1 {
 		t.Errorf("straight-line program should be lane-eligible: %v", fs)
 	}
+}
+
+// testKernel pairs a compiled program with a name for diagnostics.
+type testKernel struct {
+	name string
+	prog *shader.Program
+}
+
+// kernelSuite compiles the paper's kernels plus hand-written control-flow
+// and discard shaders — the corpus the lint tests run over.
+func kernelSuite(t *testing.T) []testKernel {
+	t.Helper()
+	var ks []testKernel
+	add := func(name, src string) {
+		ks = append(ks, testKernel{name, compileGLSL(t, src)})
+	}
+	add("sum", kernels.Sum(kernels.DefaultOptions))
+	add("sum-fp24", kernels.Sum(kernels.FP24Options))
+	add("saxpy", kernels.Saxpy(kernels.DefaultOptions))
+	add("transpose", kernels.Transpose(kernels.DefaultOptions))
+	add("conv3x3", kernels.Conv3x3(16, 16, kernels.DefaultOptions))
+	add("jacobi", kernels.Jacobi(16, 16, kernels.DefaultOptions))
+	if src, err := kernels.SgemmPass(64, 8, kernels.DefaultOptions); err == nil {
+		add("sgemm-64-8", src)
+	} else {
+		t.Fatalf("sgemm: %v", err)
+	}
+	if src, err := kernels.Reduce2x2(16, kernels.DefaultOptions); err == nil {
+		add("reduce", src)
+	} else {
+		t.Fatalf("reduce: %v", err)
+	}
+	add("branchy-discard", `
+precision mediump float;
+uniform float u0;
+uniform sampler2D text0;
+varying vec2 v_tex;
+void main() {
+	if (v_tex.x < 0.25) {
+		discard;
+	}
+	float t = u0 * v_tex.x;
+	float unused = t * 3.0;
+	vec2 a = v_tex * 2.0;
+	float s = texture2D(text0, a).x;
+	if (u0 > 0.5) {
+		s = s + t;
+	} else {
+		s = s - t;
+	}
+	gl_FragColor = vec4(s, a.y, u0, 1.0);
+}
+`)
+	// Vertex stage exercises the other compilation path.
+	cs, err := glsl.Frontend(kernels.VertexShader, glsl.CompileOptions{Stage: glsl.StageVertex})
+	if err != nil {
+		t.Fatalf("vertex frontend: %v", err)
+	}
+	vp, err := shader.Compile(cs)
+	if err != nil {
+		t.Fatalf("vertex compile: %v", err)
+	}
+	ks = append(ks, testKernel{"vertex-quad", vp})
+	return ks
 }

@@ -209,7 +209,7 @@ type Inst struct {
 // the destination mask keeps, reductions and special forms consume fixed
 // lanes, and operands an opcode does not read report zero. This is the
 // single definition of "what counts as a read" shared by the liveness
-// proof, the optimisation passes and the lint diagnostics.
+// proof, the dataflow analyses and the lint diagnostics.
 func (in *Inst) SrcLanes() (a, b, c uint8) {
 	switch in.Op {
 	case OpNOP, OpRET, OpBR:
@@ -332,20 +332,13 @@ type Program struct {
 	// sharing one Program (a serving worker pool) compile it exactly once;
 	// reads stay lock-free through the atomic pointers.
 	compileMu sync.Mutex
-	// lanes / lanesOpt cache the lane-batched (SoA) compiled forms (see
-	// lanes.go), keyed by (cost, width) and (cost, width, OptProgram)
-	// respectively; ineligible programs cache a sentinel so the
+	// lanes caches the lane-batched (SoA) compiled form (see lanes.go),
+	// keyed by (cost, width); ineligible programs cache a sentinel so the
 	// straightness scan is not repeated per draw.
-	lanes    atomic.Pointer[LaneCompiled]
-	lanesOpt atomic.Pointer[LaneCompiled]
-	// lanesMasked / lanesMaskedOpt cache the divergence-masked lane forms
-	// (see lanes_masked.go) under the same keying discipline.
-	lanesMasked    atomic.Pointer[LaneCompiled]
-	lanesMaskedOpt atomic.Pointer[LaneCompiled]
-	// opt holds the pass-pipeline result attached by SetOptimized
-	// (computed in internal/shader/analysis, which this package cannot
-	// import).
-	opt atomic.Pointer[OptProgram]
+	lanes atomic.Pointer[LaneCompiled]
+	// lanesMasked caches the divergence-masked lane form (see
+	// lanes_masked.go) under the same keying discipline.
+	lanesMasked atomic.Pointer[LaneCompiled]
 }
 
 // InstructionCount returns the static instruction count after unrolling.

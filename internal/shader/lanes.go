@@ -207,7 +207,6 @@ type laneSrc struct {
 type LaneCompiled struct {
 	prog  *Program
 	cost  *CostModel
-	opt   *OptProgram // non-nil when compiled from the optimised form
 	width int
 
 	line          []laneOp
@@ -270,7 +269,7 @@ func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
 		}
 		return c
 	}
-	c := compileLanes(p, p.Insts, p.Consts, nil, cost, width)
+	c := compileLanes(p, cost, width)
 	if c == nil {
 		// Cache the negative result so ineligible programs do not pay a
 		// straightness scan per draw.
@@ -278,40 +277,6 @@ func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
 		return nil
 	}
 	p.lanes.Store(c)
-	return c
-}
-
-// LaneCompiledOpt returns the lane-batched compiled form of p's optimised
-// program (the OptProgram attached by SetOptimized) under cost at width,
-// cached in a second slot keyed by (cost, width, OptProgram) identity.
-// Falls back to LaneCompiled when no OptProgram is attached; returns nil
-// when the program is ineligible.
-func (p *Program) LaneCompiledOpt(cost *CostModel, width int) *LaneCompiled {
-	o := p.Optimized()
-	if o == nil {
-		return p.LaneCompiled(cost, width)
-	}
-	if c := p.lanesOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	p.compileMu.Lock()
-	defer p.compileMu.Unlock()
-	if c := p.lanesOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileLanes(p, o.Insts, o.Consts, o.Dead, cost, width)
-	if c == nil {
-		p.lanesOpt.Store(&LaneCompiled{prog: p, cost: cost, opt: o, width: width, cyclesPerLane: -1})
-		return nil
-	}
-	c.opt = o
-	p.lanesOpt.Store(c)
 	return c
 }
 
@@ -332,15 +297,7 @@ func LaneFallbackReason(p *Program) string {
 // source position that breaks eligibility. pc is -1 when the program is
 // lane-eligible.
 func LaneFallbackAt(p *Program) (pc int, reason string) {
-	return laneFallbackAt(p.Insts)
-}
-
-func laneFallbackReason(insts []Inst) string {
-	_, reason := laneFallbackAt(insts)
-	return reason
-}
-
-func laneFallbackAt(insts []Inst) (int, string) {
+	insts := p.Insts
 	n := len(insts)
 	for i := range insts {
 		in := &insts[i]
@@ -379,33 +336,25 @@ func laneOpSupported(op Op) bool {
 	return false
 }
 
-// compileLanes translates a straight-line instruction stream into lane
-// closures; nil when the stream is ineligible (see LaneFallbackReason) or
-// the width is out of range. Dead instructions follow the OptProgram
-// contract: their cost is folded into cyclesPerLane and a dead TEX still
-// counts one fetch per live lane.
-func compileLanes(p *Program, insts []Inst, consts [][4]float32, dead []bool, cost *CostModel, width int) *LaneCompiled {
+// compileLanes translates p's straight-line instruction stream into lane
+// closures; nil when p is ineligible (see LaneFallbackReason) or the width
+// is out of range.
+func compileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
 	if width < 2 || width > MaxLaneWidth {
 		return nil
 	}
-	if laneFallbackReason(insts) != "" {
+	if LaneFallbackReason(p) != "" {
 		return nil
 	}
 	lc := &LaneCompiled{prog: p, cost: cost, width: width}
-	for i := range insts {
-		in := &insts[i]
+	for i := range p.Insts {
+		in := &p.Insts[i]
 		lc.cyclesPerLane += cost.InstCost(in)
 		switch in.Op {
 		case OpNOP, OpRET, OpBR, OpBRZ:
 			continue // cost-only (fall-through branches verified above)
 		}
-		if dead != nil && dead[i] {
-			if in.Op == OpTEX {
-				lc.line = append(lc.line, func(e *LaneEnv) { e.TexFetches += int64(e.N) })
-			}
-			continue
-		}
-		fn := lc.compileLaneInst(consts, in)
+		fn := lc.compileLaneInst(p.Consts, in)
 		if fn == nil {
 			return nil
 		}

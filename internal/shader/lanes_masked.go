@@ -53,13 +53,12 @@ import "fmt"
 // maskedStep kinds. ALU steps carry a lane closure; control steps are
 // interpreted by runMasked directly.
 const (
-	mskALU     uint8 = iota // body over active lanes (stage + masked commit)
-	mskDead                 // cost-only: dead result, NOP, fall-through BR
-	mskDeadTex              // dead TEX: cost + one fetch per active lane
-	mskBR                   // unconditional forward jump
-	mskBRZ                  // branch if cond.x == 0
-	mskKIL                  // discard lane if cond.x != 0
-	mskRET                  // retire lane
+	mskALU uint8 = iota // body over active lanes (stage + masked commit)
+	mskNOP              // cost-only
+	mskBR               // unconditional forward jump
+	mskBRZ              // branch if cond.x == 0
+	mskKIL              // discard lane if cond.x != 0
+	mskRET              // retire lane
 )
 
 // maskedStep is one instruction slot of a masked program: its cost (charged
@@ -87,10 +86,7 @@ func MaskedFallbackReason(p *Program) string {
 // index attached for tooling (glslint's mask rule). pc is -1 when the
 // program is mask-eligible.
 func MaskedFallbackAt(p *Program) (pc int, reason string) {
-	return maskedFallbackAt(p.Insts)
-}
-
-func maskedFallbackAt(insts []Inst) (int, string) {
+	insts := p.Insts
 	for i := range insts {
 		in := &insts[i]
 		switch in.Op {
@@ -132,7 +128,7 @@ func (p *Program) MaskedLaneCompiled(cost *CostModel, width int) *LaneCompiled {
 		}
 		return c
 	}
-	c := compileMaskedLanes(p, p.Insts, p.Consts, nil, cost, width)
+	c := compileMaskedLanes(p, cost, width)
 	if c == nil {
 		p.lanesMasked.Store(&LaneCompiled{prog: p, cost: cost, width: width, masked: true, cyclesPerLane: -1})
 		return nil
@@ -141,55 +137,21 @@ func (p *Program) MaskedLaneCompiled(cost *CostModel, width int) *LaneCompiled {
 	return c
 }
 
-// MaskedLaneCompiledOpt returns the masked lane form of p's optimised
-// program, cached in its own slot keyed by (cost, width, OptProgram)
-// identity; falls back to MaskedLaneCompiled when no OptProgram is
-// attached. Returns nil when ineligible.
-func (p *Program) MaskedLaneCompiledOpt(cost *CostModel, width int) *LaneCompiled {
-	o := p.Optimized()
-	if o == nil {
-		return p.MaskedLaneCompiled(cost, width)
-	}
-	if c := p.lanesMaskedOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	p.compileMu.Lock()
-	defer p.compileMu.Unlock()
-	if c := p.lanesMaskedOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileMaskedLanes(p, o.Insts, o.Consts, o.Dead, cost, width)
-	if c == nil {
-		p.lanesMaskedOpt.Store(&LaneCompiled{prog: p, cost: cost, opt: o, width: width, masked: true, cyclesPerLane: -1})
-		return nil
-	}
-	c.opt = o
-	p.lanesMaskedOpt.Store(c)
-	return c
-}
-
-// compileMaskedLanes translates an instruction stream with (forward-only)
-// control flow into masked steps; nil when the stream is mask-ineligible
-// or the width is out of range. Dead instructions follow the OptProgram
-// contract: they charge their cost at their own pc (flow-sensitively, per
-// active lane) and a dead TEX still counts one fetch per active lane.
-func compileMaskedLanes(p *Program, insts []Inst, consts [][4]float32, dead []bool, cost *CostModel, width int) *LaneCompiled {
+// compileMaskedLanes translates p's instruction stream with (forward-only)
+// control flow into masked steps; nil when p is mask-ineligible or the
+// width is out of range.
+func compileMaskedLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
 	if width < 2 || width > MaxLaneWidth {
 		return nil
 	}
-	if pc, _ := maskedFallbackAt(insts); pc >= 0 {
+	if pc, _ := MaskedFallbackAt(p); pc >= 0 {
 		return nil
 	}
 	lc := &LaneCompiled{prog: p, cost: cost, width: width, masked: true}
+	insts, consts := p.Insts, p.Consts
 	for i := range insts {
 		in := &insts[i]
-		st := maskedStep{kind: mskDead, cost: cost.InstCost(in)}
+		st := maskedStep{kind: mskNOP, cost: cost.InstCost(in)}
 		switch in.Op {
 		case OpNOP:
 			// cost-only
@@ -206,18 +168,12 @@ func compileMaskedLanes(p *Program, insts []Inst, consts [][4]float32, dead []bo
 			st.kind = mskKIL
 			st.cond = lc.compileLaneSrc(consts, in.A, 0)
 		default:
-			if dead != nil && dead[i] {
-				if in.Op == OpTEX {
-					st.kind = mskDeadTex
-				}
-			} else {
-				fn := lc.compileLaneInst(consts, in)
-				if fn == nil {
-					return nil
-				}
-				st.kind = mskALU
-				st.body = fn
+			fn := lc.compileLaneInst(consts, in)
+			if fn == nil {
+				return nil
 			}
+			st.kind = mskALU
+			st.body = fn
 		}
 		lc.steps = append(lc.steps, st)
 	}
@@ -270,12 +226,7 @@ func (lc *LaneCompiled) runMasked(e *LaneEnv) {
 			for _, l := range act {
 				np[l] = next
 			}
-		case mskDead:
-			for _, l := range act {
-				np[l] = next
-			}
-		case mskDeadTex:
-			e.TexFetches += int64(len(act))
+		case mskNOP:
 			for _, l := range act {
 				np[l] = next
 			}

@@ -117,16 +117,8 @@ const maxSteps = 1 << 22
 // Run executes p in env, accounting cycles with cost. The env must have
 // been created by NewEnv(p) (or have at least as many registers).
 func Run(p *Program, env *Env, cost *CostModel) error {
-	return runInsts(p.Insts, p.Consts, nil, env, cost)
-}
-
-// runInsts is the interpreter core, shared by Run (the original program)
-// and RunOptimized (an OptProgram's rewritten instructions). A non-nil
-// dead slice marks instructions whose computation is skipped — their cycle
-// cost is still charged and a dead TEX still counts a fetch, preserving
-// the virtual-time model exactly (see opt.go).
-func runInsts(insts []Inst, consts [][4]float32, dead []bool, env *Env, cost *CostModel) error {
-	env.consts = consts
+	insts := p.Insts
+	env.consts = p.Consts
 	steps := 0
 	for pc := 0; pc < len(insts); pc++ {
 		steps++
@@ -135,12 +127,6 @@ func runInsts(insts []Inst, consts [][4]float32, dead []bool, env *Env, cost *Co
 		}
 		in := &insts[pc]
 		env.Cycles += cost.InstCost(in)
-		if dead != nil && dead[pc] {
-			if in.Op == OpTEX {
-				env.TexFetches++
-			}
-			continue
-		}
 		switch in.Op {
 		case OpNOP:
 		case OpRET:
@@ -227,6 +213,41 @@ func runInsts(insts []Inst, consts [][4]float32, dead []bool, env *Env, cost *Co
 		}
 	}
 	return nil
+}
+
+// Executor returns the reference-interpreter function for p under cost.
+// The returned function is safe for concurrent use with distinct Envs.
+func Executor(p *Program, cost *CostModel) func(*Env) error {
+	return func(e *Env) error { return Run(p, e, cost) }
+}
+
+// EvalInst executes one data instruction on explicit operand values using
+// the reference interpreter and returns the (pre-mask) result vector. The
+// operands a, b, c are the base register values the instruction's A, B, C
+// sources read from; swizzles and negation are applied exactly as at
+// runtime. Control flow, KIL and TEX are not evaluable and report ok ==
+// false. Constant propagation in the analysis package goes through this:
+// the folded value is bit-exact by construction because it is computed by
+// the same VM that would compute it at runtime.
+func EvalInst(in Inst, a, b, c Vec4) (Vec4, bool) {
+	switch in.Op {
+	case OpNOP, OpRET, OpBR, OpBRZ, OpKIL, OpTEX:
+		return Vec4{}, false
+	case opMax:
+		return Vec4{}, false
+	}
+	inst := in
+	inst.A.File, inst.A.Reg = FileTemp, 0
+	inst.B.File, inst.B.Reg = FileTemp, 1
+	inst.C.File, inst.C.Reg = FileTemp, 2
+	inst.Dst = Dst{File: FileTemp, Reg: 3, Mask: MaskAll}
+	p := Program{Insts: []Inst{inst}, NumTemps: 4}
+	cost := DefaultCostModel()
+	env := Env{Temps: []Vec4{a, b, c, {}}}
+	if err := Run(&p, &env, &cost); err != nil {
+		return Vec4{}, false
+	}
+	return env.Temps[3], true
 }
 
 // read fetches a source operand with swizzle and negation applied.

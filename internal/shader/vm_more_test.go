@@ -360,25 +360,23 @@ func TestLimitErrorMessage(t *testing.T) {
 	}
 }
 
-// TestExecutorFallback pins Executor's selection: with usePasses it runs
-// the attached optimised form, without it (or with none attached) the
-// original program, and both produce identical results.
+// TestExecutorFallback pins Executor to the reference interpreter: the
+// returned function runs the original program with Run's outputs and
+// cycle charge.
 func TestExecutorFallback(t *testing.T) {
 	cost := DefaultCostModel()
 	p := &Program{NumTemps: 1, NumOutputs: 1, Consts: [][4]float32{{2, 3, 4, 5}}, Insts: []Inst{
 		{Op: OpADD, Dst: DstReg(FileOutput, 0, 4),
 			A: SrcReg(FileConst, 0), B: SrcReg(FileConst, 0)},
 	}}
-	for _, passes := range []bool{false, true} {
-		e := NewEnv(p)
-		if err := Executor(p, &cost, passes)(e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Outputs[0] != (Vec4{4, 6, 8, 10}) {
-			t.Fatalf("passes=%v: got %v", passes, e.Outputs[0])
-		}
-		if e.Cycles != cost.StaticCycles(p) {
-			t.Fatalf("passes=%v: cycles %d", passes, e.Cycles)
-		}
+	e := NewEnv(p)
+	if err := Executor(p, &cost)(e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Outputs[0] != (Vec4{4, 6, 8, 10}) {
+		t.Fatalf("got %v", e.Outputs[0])
+	}
+	if e.Cycles != cost.StaticCycles(p) {
+		t.Fatalf("cycles %d", e.Cycles)
 	}
 }

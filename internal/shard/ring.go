@@ -99,22 +99,6 @@ func (r *Ring) Remove(replica string) {
 	r.points = kept
 }
 
-// Has reports membership.
-func (r *Ring) Has(replica string) bool { return r.member[replica] }
-
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.member))
-	for m := range r.member {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.member) }
-
 // Lookup returns the replica owning key: the first point clockwise from
 // the key's hash. Empty ring returns "".
 func (r *Ring) Lookup(key string) string {
