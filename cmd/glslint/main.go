@@ -6,7 +6,7 @@
 // the static view of the paper's Fig. 4b compile cliff — and the
 // lattice-driven findings: uniform branches, divergent discards,
 // provably-dead clamps, statically unbounded sampler footprints and the
-// masked-lane engine's eligibility verdict.
+// lane engine's eligibility verdict.
 //
 // Usage:
 //

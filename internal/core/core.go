@@ -260,8 +260,8 @@ func (e *Engine) Machine() *gpu.Machine { return e.gl.Machine() }
 func (e *Engine) CoherenceStats() (elided, shaded int64) { return e.gl.CoherenceStats() }
 
 // LaneFallbackDraws reports how many draws wanted lane-batched shading but
-// ran per-fragment because the program failed lane and mask eligibility —
-// the masked-lane adoption signal the daemon exports per device.
+// ran per-fragment because the program failed lane eligibility — the
+// lane-engine adoption signal the daemon exports per device.
 func (e *Engine) LaneFallbackDraws() int64 { return e.gl.LaneFallbackDraws() }
 
 // Now returns the virtual CPU time.

@@ -1,6 +1,6 @@
 // Package dataflow provides the generic machinery shared by the shader IR
-// analyses: dense bitvector sets and iterative worklist solvers for forward
-// and backward dataflow problems over an arbitrary successor graph.
+// analyses: dense bitvector sets and an iterative worklist solver for
+// forward dataflow problems over an arbitrary successor graph.
 //
 // The package is deliberately dependency-free so both internal/shader (the
 // must-write liveness proof that gates the parallel fragment engine) and
@@ -9,7 +9,7 @@
 //
 // Lattices are bitvectors. A "must" problem meets with intersection and
 // initialises non-entry nodes to top (all ones); a "may" problem meets with
-// union and initialises to bottom (all zeros). Both solvers run a classic
+// union and initialises to bottom (all zeros). The solver runs a classic
 // worklist iteration to the least (respectively greatest) fixpoint; with
 // monotone transfer functions over a finite lattice termination is
 // guaranteed.
@@ -89,18 +89,13 @@ func (b BitSet) UnionWith(o BitSet) bool {
 
 // Problem describes one bitvector dataflow problem over a graph of N nodes.
 //
-// For a Forward solve, Transfer maps the node's in-set to its out-set and
-// the solver returns the in-sets; for a Backward solve, Transfer maps the
-// node's out-set (the union of its successors' in-sets) to its in-set and
-// the solver returns the out-sets. Transfer must be monotone; in and out
-// may alias, so implementations that read in after writing out must copy
-// first.
+// Transfer maps the node's in-set to its out-set and Forward returns the
+// in-sets. Transfer must be monotone.
 type Problem struct {
 	N     int // number of nodes
 	Bits  int // lattice width in bits
-	Entry int // entry node (Forward only)
-	// Succs returns the successor node indices of node i. Backward solves
-	// use the same function and invert it internally.
+	Entry int // entry node
+	// Succs returns the successor node indices of node i.
 	Succs func(i int) []int
 	// Transfer applies node i's effect: out = f_i(in). The slices are
 	// distinct and pre-sized to Bits.
@@ -161,54 +156,6 @@ func (p *Problem) Forward() []BitSet {
 		}
 	}
 	return in
-}
-
-// Backward solves the problem against control flow and returns the out-set
-// of every node: the union (may) or intersection (must) over successors of
-// their in-sets. Exit nodes (no successors) get bottom out-sets; callers
-// that need boundary facts at exits should fold them into Transfer.
-func (p *Problem) Backward() []BitSet {
-	preds := make([][]int, p.N)
-	for i := 0; i < p.N; i++ {
-		for _, s := range p.Succs(i) {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	out := make([]BitSet, p.N)
-	for i := range out {
-		out[i] = NewBitSet(p.Bits)
-		if p.Must {
-			out[i].Fill()
-		}
-	}
-	in := NewBitSet(p.Bits)
-	work := make([]int, 0, p.N)
-	inWork := make([]bool, p.N)
-	// Seed with every node: backward problems have no single exit and
-	// running each transfer at least once establishes local facts.
-	for i := p.N - 1; i >= 0; i-- {
-		work = append(work, i)
-		inWork[i] = true
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[i] = false
-		p.Transfer(i, out[i], in)
-		for _, pr := range preds[i] {
-			var changed bool
-			if p.Must {
-				changed = out[pr].IntersectWith(in)
-			} else {
-				changed = out[pr].UnionWith(in)
-			}
-			if changed && !inWork[pr] {
-				work = append(work, pr)
-				inWork[pr] = true
-			}
-		}
-	}
-	return out
 }
 
 // Dominators computes the dominator sets of a graph as a must-forward

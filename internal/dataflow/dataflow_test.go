@@ -126,40 +126,6 @@ func TestForwardUnreachableStaysTop(t *testing.T) {
 	}
 }
 
-// Backward may (classic liveness): straight line 0 -> 1 -> 2 where node 2
-// "uses" fact A and node 1 "kills" it.
-func TestBackwardLiveness(t *testing.T) {
-	const bitA = 0
-	p := &Problem{
-		N: 3, Bits: 1, Must: false,
-		Succs: func(i int) []int {
-			if i < 2 {
-				return []int{i + 1}
-			}
-			return nil
-		},
-		Transfer: func(i int, out, in BitSet) {
-			in.CopyFrom(out)
-			switch i {
-			case 2:
-				in.Set(bitA) // use
-			case 1:
-				in.Clear(bitA) // def kills liveness
-			}
-		},
-	}
-	out := p.Backward()
-	if !out[1].Get(bitA) {
-		t.Error("A is live-out of node 1 (used at 2)")
-	}
-	if out[0].Get(bitA) {
-		t.Error("A is dead-out of node 0 (killed at 1 before the use)")
-	}
-	if out[2].Get(bitA) {
-		t.Error("exit node has empty live-out")
-	}
-}
-
 func TestDominators(t *testing.T) {
 	// 0 -> 1 -> {2, 3}; 2 -> 4; 3 -> 4.
 	succs := func(i int) []int {

@@ -184,11 +184,12 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	execVS := shader.Executor(vp, cost)
 	execFS := shader.Executor(fp, cost)
 
-	// Fast-path selection: a fragment program with a lane form shades its
+	// Fast-path selection: a fragment program with a lane form (one
+	// engine for straight-line and forward-branching programs) shades its
 	// triangles in lane batches over tiles (tiled.go). Every other draw —
 	// no lane form, or GL_POINTS — runs the per-fragment interpreter loop
 	// below, the oracle the fast path is tested against. Draws without a
-	// lane form are counted (glslint's mask-fallback finding says why; the
+	// lane form are counted (glslint's lane-fallback finding says why; the
 	// daemon exports the count per device).
 	lc := c.laneCompiledFor(fp)
 	if lc == nil {

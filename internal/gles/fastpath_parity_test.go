@@ -282,7 +282,7 @@ void main() {
 	float a = v_tex.x * 3.0 + v_tex.y;
 	gl_FragColor = vec4(fract(a), v_tex, 1.0);
 }`)},
-		// Discard runs on the masked lane form with per-lane death; killed
+		// Discard runs on the lane engine with per-lane death; killed
 		// fragments still cost their cycles.
 		{"discard", 64, 64, plainQuad(t, `
 precision mediump float;
@@ -329,7 +329,7 @@ void main() {
 	gl_FragColor = vec4(v_tex, 0.5, 1.0);
 }`)},
 		// A data-dependent if/else (the jacobi shape) compiles to real
-		// control flow and runs divergence-masked.
+		// control flow and diverges per lane on the lane engine.
 		{"branchy", 32, 32, plainQuad(t, `
 precision mediump float;
 varying vec2 v_tex;

@@ -24,12 +24,12 @@ package gles
 // Eligibility is gated in laneCompiledFor, which requires the
 // WritesBeforeReads + OutputsAlwaysWritten proofs: pooled LaneEnvs carry
 // stale register lanes between batches and draws, and the tiled walk
-// reorders fragments across pixels. Straight-line programs take the
-// whole-batch engine; branchy or discarding programs the mask-safety proof
-// admits (forward branches, per-lane discard/return — jacobi) take the
-// divergence-masked engine (internal/shader/lanes_masked.go); everything
-// else runs on the per-fragment interpreter. Masked batches can discard
-// individual lanes, so flush consults LaneEnv.Discarded before scattering.
+// reorders fragments across pixels. Beyond that, the lane engine takes
+// every program with forward-only control flow — straight-line kernels
+// as one segment, branchy or discarding ones (jacobi) with per-lane
+// resume points — and the per-fragment interpreter runs the rest. A batch
+// can discard individual lanes, so flush consults LaneEnv.Discarded
+// before scattering.
 
 import (
 	"gles2gpgpu/internal/shader"
@@ -66,20 +66,14 @@ type laneShader struct {
 }
 
 // laneCompiledFor returns the lane-batched compiled form this draw's
-// fragment program executes on — the straight-line whole-batch form when
-// the program allows it, else the divergence-masked form when the
-// mask-safety proof admits the program — or nil when neither applies
-// (missing liveness proofs, a backward branch, or an unsupported opcode).
-// A nil return sends the draw to the per-fragment interpreter.
+// fragment program executes on, or nil when it has none (missing liveness
+// proofs, a backward branch, or an unsupported opcode). A nil return sends
+// the draw to the per-fragment interpreter.
 func (c *Context) laneCompiledFor(fp *shader.Program) *shader.LaneCompiled {
 	if !fp.WritesBeforeReads || !fp.OutputsAlwaysWritten {
 		return nil
 	}
-	cost := &c.prof.CostModel
-	if lc := fp.LaneCompiled(cost, shader.LaneWidth); lc != nil {
-		return lc
-	}
-	return fp.MaskedLaneCompiled(cost, shader.LaneWidth)
+	return fp.LaneCompiled(&c.prof.CostModel, shader.LaneWidth)
 }
 
 // fsLanePoolFor returns the LaneEnv pool for the current fragment program,
@@ -152,9 +146,8 @@ func (ls *laneShader) flush() {
 	if !ls.hasOut {
 		return
 	}
-	masked := ls.lc.Masked()
 	for l := 0; l < n; l++ {
-		if masked && env.Discarded[l] {
+		if env.Discarded[l] {
 			continue // the lane executed a KIL: no pixel write
 		}
 		col := env.Output(l, ls.outReg)

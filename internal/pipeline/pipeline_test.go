@@ -196,14 +196,14 @@ func TestFusionDecisions(t *testing.T) {
 				}
 			}
 			// Every composed program must take the GLES fast path: the
-			// masked lane engine admits everything the compiler emits
-			// (see internal/shader/admission_test.go for the other sets).
+			// lane engine admits everything the compiler emits (see
+			// internal/shader/admission_test.go for the other sets).
 			for _, g := range p.groups {
 				if !g.fused() {
 					continue
 				}
-				if pc, reason := shader.MaskedFallbackAt(e.GL().ProgramFS(g.kernel.Program())); pc != -1 {
-					t.Errorf("fused composite rejected by masked lanes at pc %d: %s", pc, reason)
+				if pc, reason := shader.LaneFallbackAt(e.GL().ProgramFS(g.kernel.Program())); pc != -1 {
+					t.Errorf("fused composite rejected by the lane engine at pc %d: %s", pc, reason)
 				}
 			}
 		})

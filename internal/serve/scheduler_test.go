@@ -269,7 +269,7 @@ func TestWaitHonoursContext(t *testing.T) {
 	s.Stop()
 }
 
-// TestMetricsMaskedLanes pins the masked-lane observability surface: the
+// TestMetricsMaskedLanes pins the lane-engine observability surface: the
 // per-device lane-fallback counter is exported after jobs run (the served
 // kernels all have a lane form, so its value stays zero — the line itself
 // must still be present for dashboards to find).

@@ -12,21 +12,21 @@ import (
 	"gles2gpgpu/internal/shader"
 )
 
-// Masked-lane admission: the GLES fast path shades every fragment program
-// the masked lane engine admits, and only the interpreter runs the rest.
-// GLSL ES 1.00 allows only statically bounded loops and the compiler
-// unrolls them fully, so emitted programs branch forward only; with every
-// opcode lane-implemented, MaskedFallbackAt should admit everything the
-// compiler emits. These tests check that invariant over every shader
+// Lane admission: the GLES fast path shades every fragment program the
+// lane engine admits, and only the interpreter runs the rest. GLSL ES 1.00
+// allows only statically bounded loops and the compiler unrolls them
+// fully, so emitted programs branch forward only; with every opcode
+// lane-implemented, LaneFallbackAt should admit everything the compiler
+// emits. These tests check that invariant over every shader
 // source the repository ships or fuzzes; the fused composites the
 // pipeline planner builds are checked in internal/pipeline
 // (TestFusionDecisions).
 
-// expectAdmitted fails the test when the masked lane engine rejects p.
+// expectAdmitted fails the test when the lane engine rejects p.
 func expectAdmitted(t *testing.T, name string, p *shader.Program) {
 	t.Helper()
-	if pc, reason := shader.MaskedFallbackAt(p); pc != -1 {
-		t.Errorf("%s: masked lanes reject pc %d: %s", name, pc, reason)
+	if pc, reason := shader.LaneFallbackAt(p); pc != -1 {
+		t.Errorf("%s: lane engine rejects pc %d: %s", name, pc, reason)
 	}
 }
 

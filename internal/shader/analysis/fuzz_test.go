@@ -13,12 +13,10 @@ import (
 // whole static-analysis stack — CFG, def-use, SCCP, resource counting,
 // lint, mask safety — then differentially executes any program that
 // survives: one batch of shader.LaneWidth lanes with distinct inputs on
-// the masked lane engine (and on the straight-line engine when the program
-// has no real control flow) must match one reference-interpreter run per
-// lane on every output bit, the Discarded flag, Cycles and TexFetches.
-// Panics, parity breaks and compiled programs the masked lane engine
-// rejects are all fuzz failures; rejected sources are simply
-// uninteresting.
+// the lane engine must match one reference-interpreter run per lane on
+// every output bit, the Discarded flag, Cycles and TexFetches. Panics,
+// parity breaks and compiled programs the lane engine rejects are all
+// fuzz failures; rejected sources are simply uninteresting.
 func FuzzPassPipeline(f *testing.F) {
 	f.Add("precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }\n")
 	f.Add("precision mediump float;\nuniform float u;\nvoid main() {\n" +
@@ -50,14 +48,14 @@ func FuzzPassPipeline(f *testing.F) {
 		// admit it: the compiler emits only forward branches and
 		// lane-implemented opcodes, so the GLES fast path can shade every
 		// program the liveness proofs allow.
-		_, execReason := shader.MaskedFallbackAt(p)
+		_, execReason := shader.LaneFallbackAt(p)
 		_, cfgReason := MaskSafety(cfg)
 		if (execReason == "") != (cfgReason == "") {
-			t.Fatalf("MaskSafety and MaskedFallbackAt disagree: executor %q, analysis %q",
+			t.Fatalf("MaskSafety and LaneFallbackAt disagree: executor %q, analysis %q",
 				execReason, cfgReason)
 		}
 		if execReason != "" {
-			t.Fatalf("compiled program rejected by the masked lane engine: %s", execReason)
+			t.Fatalf("compiled program rejected by the lane engine: %s", execReason)
 		}
 		expectLaneParity(t, p)
 	})
@@ -72,11 +70,11 @@ func fuzzSample(idx int, u, v float32) shader.Vec4 {
 }
 
 // expectLaneParity runs p on the reference interpreter once per lane and
-// on each lane engine that compiles it over one full batch with the same
-// uniforms and per-lane inputs, and fails on any difference in per-lane
-// outputs or Discarded flags or in the summed Cycles and TexFetches.
-// Outputs of discarded lanes are compared too: the masked engine executes
-// exactly the interpreter's prefix for such a lane. As in the shader
+// on the lane engine over one full batch with the same uniforms and
+// per-lane inputs, and fails on any difference in per-lane outputs or
+// Discarded flags or in the summed Cycles and TexFetches. Outputs of
+// discarded lanes are compared too: the lane engine executes exactly the
+// interpreter's prefix for such a lane. As in the shader
 // package's own differential tests, all NaNs form one equivalence class,
 // because NaN payload propagation is codegen-defined.
 func expectLaneParity(t *testing.T, p *shader.Program) {
@@ -116,49 +114,39 @@ func expectLaneParity(t *testing.T, p *shader.Program) {
 		wantTex += env.TexFetches
 	}
 
-	masked := p.MaskedLaneCompiled(&cost, w)
-	if masked == nil {
-		t.Fatalf("mask-eligible program did not compile on the masked lane engine:\n%s", p.Disassemble())
+	lc := p.LaneCompiled(&cost, w)
+	if lc == nil {
+		t.Fatalf("lane-eligible program did not compile on the lane engine:\n%s", p.Disassemble())
 	}
-	type engine struct {
-		name string
-		lc   *shader.LaneCompiled
-	}
-	engines := []engine{{"masked", masked}}
-	if lc := p.LaneCompiled(&cost, w); lc != nil {
-		engines = append(engines, engine{"straight-line", lc})
-	}
-	for _, eng := range engines {
-		le := shader.NewLaneEnv(p, w)
-		le.Sample = fuzzSample
-		le.SetUniforms(uni)
-		for l := range inputs {
-			for reg, v := range inputs[l] {
-				le.SetInput(l, reg, v)
-			}
+	le := shader.NewLaneEnv(p, w)
+	le.Sample = fuzzSample
+	le.SetUniforms(uni)
+	for l := range inputs {
+		for reg, v := range inputs[l] {
+			le.SetInput(l, reg, v)
 		}
-		le.N = w
-		eng.lc.Run(le)
-		if le.Cycles != wantCycles || le.TexFetches != wantTex {
-			t.Fatalf("%s: counters diverge: cycles %d, interpreter %d; tex %d, interpreter %d\n%s",
-				eng.name, le.Cycles, wantCycles, le.TexFetches, wantTex, p.Disassemble())
+	}
+	le.N = w
+	lc.Run(le)
+	if le.Cycles != wantCycles || le.TexFetches != wantTex {
+		t.Fatalf("counters diverge: cycles %d, interpreter %d; tex %d, interpreter %d\n%s",
+			le.Cycles, wantCycles, le.TexFetches, wantTex, p.Disassemble())
+	}
+	for l := 0; l < w; l++ {
+		if le.Discarded[l] != wantDiscard[l] {
+			t.Fatalf("lane %d Discarded %v, interpreter %v\n%s",
+				l, le.Discarded[l], wantDiscard[l], p.Disassemble())
 		}
-		for l := 0; l < w; l++ {
-			if le.Discarded[l] != wantDiscard[l] {
-				t.Fatalf("%s: lane %d Discarded %v, interpreter %v\n%s",
-					eng.name, l, le.Discarded[l], wantDiscard[l], p.Disassemble())
-			}
-			for reg, want := range wantOut[l] {
-				got := le.Output(l, reg)
-				for c := 0; c < 4; c++ {
-					if want[c] != want[c] && got[c] != got[c] {
-						continue // both NaN: equivalent
-					}
-					if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
-						t.Fatalf("%s: lane %d output o%d.%d = %v (%#08x), interpreter %v (%#08x)\n%s",
-							eng.name, l, reg, c, got[c], math.Float32bits(got[c]),
-							want[c], math.Float32bits(want[c]), p.Disassemble())
-					}
+		for reg, want := range wantOut[l] {
+			got := le.Output(l, reg)
+			for c := 0; c < 4; c++ {
+				if want[c] != want[c] && got[c] != got[c] {
+					continue // both NaN: equivalent
+				}
+				if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+					t.Fatalf("lane %d output o%d.%d = %v (%#08x), interpreter %v (%#08x)\n%s",
+						l, reg, c, got[c], math.Float32bits(got[c]),
+						want[c], math.Float32bits(want[c]), p.Disassemble())
 				}
 			}
 		}

@@ -73,7 +73,6 @@ func Lint(p *shader.Program, profiles []LimitProfile) []Finding {
 		fs = append(fs, lintDivergentDiscards(p, uni, sccp)...)
 		fs = append(fs, lintDeadClamps(p, rng, sccp)...)
 		fs = append(fs, lintFootprints(p, foot)...)
-		fs = append(fs, lintMaskEligibility(p, cfg)...)
 		res := CountResources(cfg)
 		for _, lp := range profiles {
 			fs = append(fs, CheckLimits(p, res, lp)...)
@@ -251,39 +250,41 @@ func lintBuiltins(p *shader.Program, du *DefUse, sccp *SCCP) []Finding {
 }
 
 // lintLaneEligibility reports whether the lane-batched SoA engine can run
-// the program (an info note, not a defect): straight-line programs shade
-// batches of fragments through each instruction at once, while branchy or
-// discarding programs fall back to per-fragment execution. The eligibility
-// probe is the executor's own (shader.LaneFallbackAt); the CFG cross-checks
-// it — a single-block CFG is exactly the straight-line property, so the two
-// views disagreeing would mean a compiler bug worth surfacing loudly.
+// the program (an info note, not a defect): eligible programs shade
+// batches of fragments through each instruction at once, with per-lane
+// resume points across forward branches, while the rest fall back to
+// per-fragment execution. The eligibility probe is the executor's own
+// (shader.LaneFallbackAt); MaskSafety re-derives its control-flow half
+// from the CFG, so the two disagreeing would mean a compiler bug worth
+// surfacing loudly. MaskSafety does not judge opcodes, so a probe
+// rejection for a missing lane body is no disagreement.
 func lintLaneEligibility(p *shader.Program, cfg *CFG) []Finding {
 	pc, reason := shader.LaneFallbackAt(p)
+	spc, sreason := MaskSafety(cfg)
+	branch := pc >= 0 && (p.Insts[pc].Op == shader.OpBR || p.Insts[pc].Op == shader.OpBRZ)
+	if (reason == "" && sreason != "") || (branch && sreason == "") {
+		return []Finding{{
+			Code: "lane-eligible",
+			Sev:  SevWarning,
+			Msg: fmt.Sprintf("executor and CFG disagree on mask safety "+
+				"(executor: pc %d %q, analysis: pc %d %q); eligibility probe "+
+				"and analysis disagree (compiler bug?)", pc, reason, spc, sreason),
+		}}
+	}
 	if reason == "" {
-		if len(cfg.Blocks) > 1 {
-			return []Finding{{
-				Code: "lane-eligible",
-				Sev:  SevWarning,
-				Msg: fmt.Sprintf("executor says straight-line but the CFG has %d blocks; "+
-					"eligibility probe and CFG disagree (compiler bug?)", len(cfg.Blocks)),
-			}}
-		}
 		return []Finding{{
 			Code: "lane-eligible",
 			Sev:  SevInfo,
-			Msg: "straight-line program: the lane-batched engine shades batches of " +
-				"fragments through each instruction at once",
+			Msg: "the lane-batched engine shades batches of fragments through " +
+				"each instruction at once, with per-lane masks across forward branches",
 		}}
 	}
-	f := Finding{
+	return []Finding{{
 		Code: "lane-fallback",
 		Sev:  SevInfo,
 		Msg:  fmt.Sprintf("per-fragment execution: %s", reason),
-	}
-	if pc >= 0 && pc < len(p.Insts) {
-		f.Pos = p.Insts[pc].SrcPos
-	}
-	return []Finding{f}
+		Pos:  p.Insts[pc].SrcPos,
+	}}
 }
 
 // lintFusionEligibility reports whether the pipeline planner could fuse

@@ -381,8 +381,7 @@ void main() {
 }
 
 func TestLintMaskEligibility(t *testing.T) {
-	// Branchy forward-only program: mask-eligible, and no lane-eligible
-	// false positive from the straight-line rule.
+	// Branchy forward-only program: lane-eligible, with no fallback.
 	p := compileGLSL(t, `precision mediump float;
 varying vec2 v_tex;
 void main() {
@@ -394,26 +393,42 @@ void main() {
 }
 `)
 	fs := Lint(p, nil)
-	el := findByCode(fs, "mask-eligible")
+	el := findByCode(fs, "lane-eligible")
 	if len(el) != 1 || el[0].Sev != SevInfo {
-		t.Fatalf("forward-branchy program should be mask-eligible (info); findings: %v", fs)
+		t.Fatalf("forward-branchy program should be lane-eligible (info); findings: %v", fs)
 	}
-	if fb := findByCode(fs, "mask-fallback"); len(fb) != 0 {
-		t.Errorf("eligible program must not also report mask-fallback: %v", fb)
+	if fb := findByCode(fs, "lane-fallback"); len(fb) != 0 {
+		t.Errorf("eligible program must not also report lane-fallback: %v", fb)
 	}
 
-	// Straight-line program: neither masked finding, only lane-eligible.
+	// Straight-line program: lane-eligible too.
 	p = compileGLSL(t, `precision mediump float;
 void main() {
 	gl_FragColor = vec4(1.0);
 }
 `)
 	fs = Lint(p, nil)
-	if len(findByCode(fs, "mask-eligible"))+len(findByCode(fs, "mask-fallback")) != 0 {
-		t.Errorf("straight-line program is covered by lane-eligible alone: %v", fs)
-	}
 	if len(findByCode(fs, "lane-eligible")) != 1 {
 		t.Errorf("straight-line program should be lane-eligible: %v", fs)
+	}
+
+	// Backward branch: the fallback names the branch, with no warning
+	// (probe and CFG agree).
+	loop := &shader.Program{
+		Insts: []shader.Inst{
+			{Op: shader.OpMOV, Dst: shader.DstReg(shader.FileTemp, 0, 4), A: shader.SrcReg(shader.FileInput, 0)},
+			{Op: shader.OpBRZ, A: shader.SrcReg(shader.FileTemp, 0), Target: 0},
+			{Op: shader.OpMOV, Dst: shader.DstReg(shader.FileOutput, 0, 4), A: shader.SrcReg(shader.FileTemp, 0)},
+		},
+		NumTemps: 1, NumInputs: 1, NumOutputs: 1,
+	}
+	fs = Lint(loop, nil)
+	fb := findByCode(fs, "lane-fallback")
+	if len(fb) != 1 || !strings.Contains(fb[0].Msg, "backward branch at pc 1") {
+		t.Errorf("backward branch should report lane-fallback at pc 1: %v", fs)
+	}
+	if el := findByCode(fs, "lane-eligible"); len(el) != 0 {
+		t.Errorf("probe and CFG agree on the loop, so no disagreement warning: %v", el)
 	}
 }
 

@@ -8,20 +8,20 @@ import (
 
 // Mask-safety proof.
 //
-// The divergence-masked lane engine executes a branchy program by walking
-// instructions in program order with a per-lane next-pc; that is only
-// sound when program order is a topological order of the instruction
+// The lane engine executes a branchy program by sweeping its segments
+// (basic blocks) in program order with a per-lane resume index; that is
+// only sound when program order is a topological order of the instruction
 // graph, i.e. every control edge goes forward. The executor probes this
-// itself (shader.MaskedFallbackAt), but the analysis derives the same
+// itself (shader.LaneFallbackAt), but the analysis derives the same
 // verdict independently from the CFG so the lint can cross-check the two:
 // a disagreement means either the proof or the engine gate is wrong, and
 // is reported loudly.
 
-// MaskSafety returns the analysis-side masked-lane verdict for c's
-// program: pc < 0 when every control edge goes forward (the program is
-// maskable as far as control flow is concerned), otherwise the first
-// offending instruction and why. Opcode-level support is the executor's
-// concern and is not checked here.
+// MaskSafety returns the analysis-side lane verdict for c's program:
+// pc < 0 when every control edge goes forward (the program is maskable as
+// far as control flow is concerned), otherwise the first offending
+// instruction and why. Opcode-level support is the executor's concern and
+// is not checked here.
 func MaskSafety(c *CFG) (pc int, reason string) {
 	p := c.Prog
 	for i := range p.Insts {

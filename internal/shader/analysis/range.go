@@ -24,7 +24,7 @@ import (
 // conditions propagate nothing. Cyclic CFGs (never emitted by the GLSL
 // back end, whose loops are fully unrolled, but constructible by hand)
 // report AllTop instead of iterating to a widened fixpoint: the clients —
-// dead-clamp proofs and branch-condition boundedness for the masked lane
+// dead-clamp proofs and branch-condition boundedness for the lane
 // engine's termination story — only care about the acyclic case, where
 // every path executes at most len(Insts) instructions and the interval
 // facts are exact joins over the finitely many paths.
@@ -375,8 +375,8 @@ func SolveRanges(c *CFG, sccp *SCCP) *Ranges {
 
 // CondBounded reports that the BRZ or KIL condition of instruction i is
 // provably a finite, non-NaN float32 — together with the forward-only
-// branch shape this is the masked lane engine's termination obligation
-// (every lane's pc advances monotonically through a finite program).
+// branch shape this is the lane engine's termination obligation (every
+// lane's resume point advances monotonically through a finite program).
 func (r *Ranges) CondBounded(i int) bool {
 	p := r.cfg.Prog
 	if i < 0 || i >= len(p.Insts) {

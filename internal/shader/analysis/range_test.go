@@ -45,7 +45,7 @@ func TestRangesConstantsAndComparisons(t *testing.T) {
 		t.Errorf("output read = %+v, want a tight enclosure of 5", iv)
 	}
 	// The branch condition is a comparison result: exactly {0, 1}, never
-	// NaN — the masked lane engine's termination obligation holds.
+	// NaN — the lane engine's termination obligation holds.
 	if iv := r.Operand[3][0][0]; !containsTightly(iv, 0, 1) {
 		t.Errorf("comparison result = %+v, want [0, 1]", iv)
 	}

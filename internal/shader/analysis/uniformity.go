@@ -29,7 +29,7 @@ import (
 // draw-constant, so every fragment fetches the same texels. KIL's discard
 // edge is ignored for the write side (a discarded fragment's outputs are
 // never observed) but a KIL under varying control is itself the
-// divergent-discard fact the lint and the masked lane engine care about.
+// divergent-discard fact the lint and the lane engine care about.
 //
 // Everything here is a may-vary analysis: "uniform" is a proof, "varying"
 // is the safe default.
@@ -44,7 +44,7 @@ type Uniformity struct {
 	// control flow: whether it runs at all differs between fragments.
 	Divergent []bool
 	// VaryingBranches lists reachable BRZ instructions whose condition is
-	// varying — the branches the masked lane engine pays divergence for.
+	// varying — the branches the lane engine pays divergence for.
 	VaryingBranches []int
 
 	cfg *CFG

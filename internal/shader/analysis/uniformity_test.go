@@ -102,7 +102,7 @@ func TestMaskSafetyMatchesExecutorProbe(t *testing.T) {
 	if pc, reason := MaskSafety(c); pc >= 0 {
 		t.Errorf("diamond rejected at pc %d: %s", pc, reason)
 	}
-	if pc, _ := shader.MaskedFallbackAt(diamond()); pc >= 0 {
+	if pc, _ := shader.LaneFallbackAt(diamond()); pc >= 0 {
 		t.Errorf("executor probe rejects the diamond at pc %d", pc)
 	}
 
@@ -121,7 +121,7 @@ func TestMaskSafetyMatchesExecutorProbe(t *testing.T) {
 	if pc != 1 {
 		t.Fatalf("MaskSafety(loop) = %d (%s), want pc 1", pc, reason)
 	}
-	if ppc, _ := shader.MaskedFallbackAt(loop); ppc != pc {
+	if ppc, _ := shader.LaneFallbackAt(loop); ppc != pc {
 		t.Errorf("analysis (pc %d) and executor probe (pc %d) disagree", pc, ppc)
 	}
 }

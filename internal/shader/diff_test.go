@@ -9,8 +9,8 @@ import (
 	"gles2gpgpu/internal/kernels"
 )
 
-// Shared fixtures of the differential tests that check the lane engines
-// (lanes_test.go, lanes_masked_test.go) against the reference interpreter:
+// Shared fixtures of the differential tests that check the lane engine
+// (lanes_test.go) against the reference interpreter:
 // random IR programs, edge-case register values, a deterministic sampler,
 // bitwise bank comparison and the generated kernel suite.
 

@@ -334,11 +334,8 @@ type Program struct {
 	compileMu sync.Mutex
 	// lanes caches the lane-batched (SoA) compiled form (see lanes.go),
 	// keyed by (cost, width); ineligible programs cache a sentinel so the
-	// straightness scan is not repeated per draw.
+	// eligibility scan is not repeated per draw.
 	lanes atomic.Pointer[LaneCompiled]
-	// lanesMasked caches the divergence-masked lane form (see
-	// lanes_masked.go) under the same keying discipline.
-	lanesMasked atomic.Pointer[LaneCompiled]
 }
 
 // InstructionCount returns the static instruction count after unrolling.

@@ -19,19 +19,37 @@ package shader
 // Operand decode and closure dispatch are paid once per instruction per
 // *batch*, amortising them W×.
 //
-// Eligibility of the whole-batch (straight-line) form:
+// Block structure. compileLanes splits a program into segments, which are
+// basic blocks. A boundary falls at every real branch target and after
+// every real terminator: a BR/BRZ whose target is not pc+1, a KIL, or a
+// RET that is not the last instruction. Fall-through branches (target =
+// pc+1, emitted by the GLSL if-lowering) are cost-only and split nothing.
+// Every generated GPGPU kernel except jacobi is one segment with no
+// terminator, because loops are fully unrolled; Run charges that case
+// statically and runs its ops with nothing else.
 //
-//   - No real control flow. Fall-through branches (target = pc+1, emitted
-//     by the GLSL if-lowering) are cost-only no-ops and stay eligible; any
-//     real jump does not. Every generated GPGPU kernel except jacobi is
-//     straight-line because loops are fully unrolled.
-//   - No KIL: a discarding lane would diverge from its batch. Discarding
-//     and branchy programs take the divergence-masked form
-//     (lanes_masked.go), so here the live-lane mask degenerates to a dense
-//     prefix: the gather loop packs covered fragments into lanes 0..N-1
-//     and every packed lane runs to completion. A partial final batch
-//     simply has N < W.
-//   - RET only in the final slot (an early RET would skip instructions).
+// Branchy programs run under a per-lane resume index: Run sweeps the
+// segments in program order, and the lanes whose resume index names the
+// current segment are active. The obligations that make this sound
+// (checked by LaneFallbackAt, cross-checked by the analysis package's
+// MaskSafety):
+//
+//   - Forward branches only. Every BR/BRZ target exceeds its own pc, so
+//     program order is a topological order of the CFG and one sweep visits
+//     every segment a lane executes, in that lane's own order. A backward
+//     edge could diverge lanes without bound (the unroller removes bounded
+//     loops before codegen, so this costs no generated kernel).
+//   - Inactive lanes keep their registers. Ops run over the full width, so
+//     when only some of the batch's lanes are active, Run saves the other
+//     lanes' values of the segment's write set and restores them after.
+//   - Side effects gated per lane. TEX loops over the active-lane list, so
+//     TexFetches and sampler calls are exact; KIL retires the discarding
+//     lane and flags it in LaneEnv.Discarded so scatter paths skip its
+//     pixel; RET retires the lane without a flag.
+//   - Cycles per lane. The interpreter charges an instruction before it
+//     executes it, so a discarding KIL charges itself and nothing after;
+//     charging a segment's cost (terminator included) per active lane
+//     reproduces the per-lane interpreter totals exactly.
 //
 // Float-precision audit (which ops may run float32-native and still match
 // the interpreter bit for bit):
@@ -56,15 +74,15 @@ package shader
 //     ABS): kept on the interpreter's float64 math-package path (f64Unary).
 //
 // Lanes never interact — DPn reductions run within one lane's four
-// components — so a batch of N produces bit-for-bit the outputs of N
-// serial invocations, and Cycles/TexFetches advance by exactly N× the
-// per-invocation amounts. The differential tests in lanes_test.go prove
-// this against the interpreter on the kernel suite and on fuzzed programs.
+// components — so a batch of N produces bit-for-bit the outputs and
+// Discarded flags of N serial invocations, and Cycles/TexFetches advance
+// by exactly the serial sums. The differential tests in lanes_test.go
+// prove this against the interpreter on the kernel suite and on fuzzed
+// straight-line and branchy programs.
 //
 // Garbage lanes: ALU loops run over the full width even when N < W; the
 // stale values in lanes N..W-1 are never observed (only lanes < N are
-// scattered) and float arithmetic on garbage cannot trap in Go. TEX loops
-// run over live lanes only, so fetch counts and sampler calls are exact.
+// scattered) and float arithmetic on garbage cannot trap in Go.
 
 import (
 	"fmt"
@@ -106,15 +124,19 @@ type LaneEnv struct {
 	Cycles     int64
 	TexFetches int64
 
-	// Discarded flags the lanes that executed a KIL in the last masked
-	// batch (see lanes_masked.go); scatter paths skip them. Batches run by
-	// the straight-line engine never discard and leave all entries false.
+	// Discarded flags the lanes that executed a KIL in the last batch;
+	// scatter paths skip them.
 	Discarded []bool
 
-	// Masked-execution per-batch state (lanes_masked.go): per-lane resume
-	// pc and the scratch list of lanes active at the current step.
-	nextPC  []int32
-	maskAct []int32
+	// active lists the lanes the current segment runs; TEX reads it. It
+	// aliases ident (the prefix 0..N-1) or actBuf.
+	active []int32
+	ident  []int32
+	actBuf []int32
+	// resume holds each lane's next segment; save holds the inactive
+	// lanes' write-set values while a partial segment runs.
+	resume []int32
+	save   []float32
 
 	prog *Program
 }
@@ -133,12 +155,16 @@ func NewLaneEnv(p *Program, width int) *LaneEnv {
 		Out:       make([]float32, maxi(p.NumOutputs, 1)*4*width),
 		Tmp:       make([]float32, maxi(p.NumTemps, 1)*4*width),
 		Discarded: make([]bool, width),
-		nextPC:    make([]int32, width),
-		maskAct:   make([]int32, 0, width),
+		ident:     make([]int32, width),
+		actBuf:    make([]int32, 0, width),
+		resume:    make([]int32, width),
 		prog:      p,
 	}
 	for i := range e.scratch {
 		e.scratch[i] = make([]float32, 4*width)
+	}
+	for l := range e.ident {
+		e.ident[l] = int32(l)
 	}
 	return e
 }
@@ -201,117 +227,200 @@ type laneSrc struct {
 	offs [4]int
 }
 
-// LaneCompiled is the lane-batched compiled form of one straight-line
-// Program under one CostModel at one width. Immutable after compilation:
-// any number of goroutines may Run it concurrently with distinct LaneEnvs.
+// LaneCompiled is the lane-batched compiled form of one Program under one
+// CostModel at one width. Immutable after compilation: any number of
+// goroutines may Run it concurrently with distinct LaneEnvs.
 type LaneCompiled struct {
-	prog  *Program
 	cost  *CostModel
 	width int
 
-	line          []laneOp
-	cyclesPerLane int64
-
-	// Masked (divergence-tolerant) form: when masked is set, line is empty
-	// and steps drives the per-pc active-lane schedule in lanes_masked.go.
-	// cyclesPerLane stays 0 because cost is charged per step per active
-	// lane, reproducing the interpreter's per-lane totals under divergence.
-	masked bool
-	steps  []maskedStep
+	// segs are the program's basic blocks in program order; nil marks a
+	// cached ineligible program (see Program.LaneCompiled).
+	segs []laneSeg
+	// saveLen is the LaneEnv.save length the largest write set needs.
+	saveLen int
 
 	// cst holds constant operands broadcast to SoA slabs at compile time
 	// (swizzle and negation folded), appended per source instance.
 	cst []float32
 }
 
-// Masked reports whether this compiled form runs under an active-lane mask
-// (lanes_masked.go). Masked batches can discard individual lanes; scatter
-// paths must consult LaneEnv.Discarded.
-func (lc *LaneCompiled) Masked() bool { return lc.masked }
+// Segment terminators.
+const (
+	termNone uint8 = iota // fall into the next segment
+	termBR                // jump to target
+	termBRZ               // jump to target if cond.x == 0
+	termKIL               // discard the lane if cond.x != 0
+	termRET               // retire the lane
+)
 
-// Run executes the batch of e.N live lanes. Outputs for lanes 0..N-1 and
-// the Cycles/TexFetches deltas are bit-identical to N serial interpreter
-// invocations of the same program.
+// laneSeg is one basic block: its ops, its per-lane cost (terminator
+// included), its write set and its terminator.
+type laneSeg struct {
+	ops  []laneOp
+	cost int64
+	// saves is the write set, one entry per written Temp/Output register
+	// component (the union of the segment's write masks).
+	saves []laneSlab
+	term  uint8
+	// target is the termBR/termBRZ segment; len(segs) retires the lane.
+	target int32
+	cond   laneSrc // termBRZ/termKIL operand A; .x decides
+}
+
+// laneSlab locates one register component's W-lane slab in Out (out) or
+// Tmp at element offset off.
+type laneSlab struct {
+	out bool
+	off int
+}
+
+// Run executes the batch of e.N live lanes. Outputs and Discarded flags
+// for lanes 0..N-1 and the Cycles/TexFetches deltas are bit-identical to N
+// serial interpreter invocations of the same program.
 func (lc *LaneCompiled) Run(e *LaneEnv) {
 	n := e.N
 	if n <= 0 {
 		return
 	}
-	if lc.masked {
-		lc.runMasked(e)
+	if s := &lc.segs[0]; len(lc.segs) == 1 && s.term == termNone {
+		e.Cycles += s.cost * int64(n)
+		e.active = e.ident[:n]
+		for _, f := range s.ops {
+			f(e)
+		}
 		return
 	}
-	for _, f := range lc.line {
-		f(e)
+	w := lc.width
+	resume := e.resume[:n]
+	for l := range resume {
+		resume[l] = 0
+		e.Discarded[l] = false
 	}
-	e.Cycles += lc.cyclesPerLane * int64(n)
+	if len(e.save) < lc.saveLen {
+		e.save = make([]float32, lc.saveLen)
+	}
+	retire := int32(len(lc.segs))
+	for si := range lc.segs {
+		s := &lc.segs[si]
+		cur := int32(si)
+		act := e.actBuf[:0]
+		for l, r := range resume {
+			if r == cur {
+				act = append(act, int32(l))
+			}
+		}
+		if len(act) == 0 {
+			continue
+		}
+		e.Cycles += s.cost * int64(len(act))
+		e.active = act
+		partial := len(act) < n
+		if partial {
+			for k, sv := range s.saves {
+				copy(e.save[k*w:k*w+w], e.slab(sv))
+			}
+		}
+		for _, f := range s.ops {
+			f(e)
+		}
+		if partial {
+			for k, sv := range s.saves {
+				dst, src := e.slab(sv), e.save[k*w:k*w+w]
+				for l, r := range resume {
+					if r != cur {
+						dst[l] = src[l]
+					}
+				}
+			}
+		}
+		next := cur + 1
+		switch s.term {
+		case termNone:
+			for _, l := range act {
+				resume[l] = next
+			}
+		case termBR:
+			for _, l := range act {
+				resume[l] = s.target
+			}
+		case termBRZ:
+			cb, off := s.cond.blk(e), s.cond.offs[0]
+			for _, l := range act {
+				if cb[off+int(l)] == 0 {
+					resume[l] = s.target
+				} else {
+					resume[l] = next
+				}
+			}
+		case termKIL:
+			cb, off := s.cond.blk(e), s.cond.offs[0]
+			for _, l := range act {
+				if cb[off+int(l)] != 0 {
+					e.Discarded[l] = true
+					resume[l] = retire
+				} else {
+					resume[l] = next
+				}
+			}
+		case termRET:
+			for _, l := range act {
+				resume[l] = retire
+			}
+		}
+	}
+}
+
+// slab returns the W-lane slab sv names.
+func (e *LaneEnv) slab(sv laneSlab) []float32 {
+	if sv.out {
+		return e.Out[sv.off : sv.off+e.Width]
+	}
+	return e.Tmp[sv.off : sv.off+e.Width]
 }
 
 // LaneCompiled returns the lane-batched compiled form of p under cost at
 // the given width, building it on first use and caching it on the Program
 // (one-entry cache keyed by cost pointer and width — a Program belongs to
 // one device profile and engines run one width, so the key never thrashes
-// in practice). Returns nil when p is not straight-line, uses an
-// unsupported opcode, or width is out of range [2, MaxLaneWidth]; callers
-// try the masked form next, then fall back to the interpreter.
+// in practice). Returns nil when LaneFallbackAt rejects p or width is out
+// of range [2, MaxLaneWidth]; callers fall back to the interpreter.
 func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
-	if c := p.lanes.Load(); c != nil && c.cost == cost && c.width == width {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil // cached ineligibility
+	c := p.lanes.Load()
+	if c == nil || c.cost != cost || c.width != width {
+		p.compileMu.Lock()
+		if c = p.lanes.Load(); c == nil || c.cost != cost || c.width != width {
+			if c = compileLanes(p, cost, width); c == nil {
+				// Cache the negative result so ineligible programs do not
+				// pay the eligibility scan per draw.
+				c = &LaneCompiled{cost: cost, width: width}
+			}
+			p.lanes.Store(c)
 		}
-		return c
+		p.compileMu.Unlock()
 	}
-	p.compileMu.Lock()
-	defer p.compileMu.Unlock()
-	if c := p.lanes.Load(); c != nil && c.cost == cost && c.width == width {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileLanes(p, cost, width)
-	if c == nil {
-		// Cache the negative result so ineligible programs do not pay a
-		// straightness scan per draw.
-		p.lanes.Store(&LaneCompiled{prog: p, cost: cost, width: width, cyclesPerLane: -1})
+	if c.segs == nil {
 		return nil
 	}
-	p.lanes.Store(c)
 	return c
 }
 
-// LaneFallbackReason reports why p cannot run on the lane-batched engine,
-// or "" when it is lane-eligible. The first clause found is reported:
-// real control flow, discard, early return, or an opcode the backend does
-// not implement. The liveness proofs (WritesBeforeReads,
-// OutputsAlwaysWritten) are a separate pipeline-level gate — see
-// the analysis package's lane lint rule — because they concern Env reuse,
-// not the batch execution itself.
-func LaneFallbackReason(p *Program) string {
-	_, reason := LaneFallbackAt(p)
-	return reason
-}
-
-// LaneFallbackAt is LaneFallbackReason with the offending instruction's
-// index attached, so tooling (glslint's lane rule) can point at the
-// source position that breaks eligibility. pc is -1 when the program is
-// lane-eligible.
+// LaneFallbackAt reports why p cannot run on the lane engine, with the
+// offending instruction's index so tooling (glslint's lane rule) can point
+// at its source position; pc is -1 and reason "" when p is lane-eligible.
+// Only backward branches (lanes could diverge without bound) and opcodes
+// with no lane body disqualify. The liveness proofs (WritesBeforeReads,
+// OutputsAlwaysWritten) are a separate gate in the GLES layer because
+// they concern LaneEnv reuse, not the batch execution itself.
 func LaneFallbackAt(p *Program) (pc int, reason string) {
-	insts := p.Insts
-	n := len(insts)
-	for i := range insts {
-		in := &insts[i]
+	for i := range p.Insts {
+		in := &p.Insts[i]
 		switch in.Op {
 		case OpBR, OpBRZ:
-			if int(in.Target) != i+1 {
-				return i, fmt.Sprintf("branch at pc %d jumps to %d (not straight-line)", i, in.Target)
+			if int(in.Target) <= i {
+				return i, fmt.Sprintf("backward branch at pc %d to %d (lanes could diverge without bound)", i, in.Target)
 			}
 		case OpKIL:
-			return i, fmt.Sprintf("discard (kil) at pc %d could diverge within a batch", i)
-		case OpRET:
-			if i != n-1 {
-				return i, fmt.Sprintf("early ret at pc %d (not straight-line)", i)
-			}
 		default:
 			if !laneOpSupported(in.Op) {
 				return i, fmt.Sprintf("opcode %s at pc %d has no lane implementation", in.Op, i)
@@ -336,29 +445,103 @@ func laneOpSupported(op Op) bool {
 	return false
 }
 
-// compileLanes translates p's straight-line instruction stream into lane
-// closures; nil when p is ineligible (see LaneFallbackReason) or the width
-// is out of range.
+// laneTerminates reports whether instruction i ends its segment: a real
+// (not fall-through) branch, a KIL, or a RET before the last instruction.
+func laneTerminates(insts []Inst, i int) bool {
+	switch insts[i].Op {
+	case OpBR, OpBRZ:
+		return int(insts[i].Target) != i+1
+	case OpKIL:
+		return true
+	case OpRET:
+		return i != len(insts)-1
+	}
+	return false
+}
+
+// compileLanes splits p into segments of lane closures; nil when p is
+// ineligible (see LaneFallbackAt) or the width is out of range.
 func compileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
 	if width < 2 || width > MaxLaneWidth {
 		return nil
 	}
-	if LaneFallbackReason(p) != "" {
+	if pc, _ := LaneFallbackAt(p); pc >= 0 {
 		return nil
 	}
-	lc := &LaneCompiled{prog: p, cost: cost, width: width}
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		lc.cyclesPerLane += cost.InstCost(in)
+	insts := p.Insts
+	n := len(insts)
+	// Segment leaders: entry, real branch targets, and the instruction
+	// after each terminator. segOf[i] is the segment holding pc i.
+	lead := make([]bool, n+1)
+	lead[0] = true
+	for i := range insts {
+		if !laneTerminates(insts, i) {
+			continue
+		}
+		lead[i+1] = true
+		if in := &insts[i]; (in.Op == OpBR || in.Op == OpBRZ) && int(in.Target) < n {
+			lead[in.Target] = true
+		}
+	}
+	segOf := make([]int32, n)
+	nseg := 0
+	for i := range insts {
+		if lead[i] {
+			nseg++
+		}
+		segOf[i] = int32(nseg - 1)
+	}
+	lc := &LaneCompiled{cost: cost, width: width, segs: make([]laneSeg, maxi(nseg, 1))}
+	seen := make(map[laneSlab]bool) // the current segment's write set
+	for i := range insts {
+		in := &insts[i]
+		si := int(segOf[i])
+		s := &lc.segs[si]
+		if lead[i] {
+			clear(seen)
+		}
+		s.cost += cost.InstCost(in)
+		if laneTerminates(insts, i) {
+			switch in.Op {
+			case OpBR, OpBRZ:
+				s.term, s.target = termBR, int32(nseg)
+				if int(in.Target) < n {
+					s.target = segOf[in.Target]
+				}
+				if in.Op == OpBRZ {
+					s.term = termBRZ
+					s.cond = lc.compileLaneSrc(p.Consts, in.A, 0)
+				}
+			case OpKIL:
+				s.term = termKIL
+				s.cond = lc.compileLaneSrc(p.Consts, in.A, 0)
+			case OpRET:
+				s.term = termRET
+			}
+			continue
+		}
 		switch in.Op {
 		case OpNOP, OpRET, OpBR, OpBRZ:
-			continue // cost-only (fall-through branches verified above)
+			continue // cost-only: fall-through branches and the final RET
 		}
 		fn := lc.compileLaneInst(p.Consts, in)
 		if fn == nil {
 			return nil
 		}
-		lc.line = append(lc.line, fn)
+		s.ops = append(s.ops, fn)
+		// Segment 0 always runs every lane, so it never saves.
+		if d := in.Dst; si > 0 && (d.File == FileTemp || d.File == FileOutput) {
+			for c := 0; c < 4; c++ {
+				sv := laneSlab{out: d.File == FileOutput, off: (int(d.Reg)*4 + c) * width}
+				if d.Mask&(1<<uint(c)) != 0 && !seen[sv] {
+					seen[sv] = true
+					s.saves = append(s.saves, sv)
+				}
+			}
+		}
+	}
+	for i := range lc.segs {
+		lc.saveLen = maxi(lc.saveLen, len(lc.segs[i].saves)*width)
 	}
 	return lc
 }
@@ -476,8 +659,10 @@ func aliases(d Dst, s Src, readMask uint8) bool {
 // compileLaneDst resolves the destination slab. When the destination
 // aliases a source, the op writes into scratch slab 3 and a follow-up
 // copy closure moves the masked components into the real register; the
-// copy is returned as fin (nil when no staging is needed). Writes to
-// read-only files are dropped, as Env.write does.
+// copy is returned as fin (nil when no staging is needed). TEX never
+// stages: each lane reads its coordinate before writing its own texel,
+// the interpreter's order. Writes to read-only files are dropped, as
+// Env.write does.
 func (lc *LaneCompiled) compileLaneDst(in *Inst) (blk laneBlock, fin laneOp) {
 	d := in.Dst
 	w := lc.width
@@ -486,15 +671,8 @@ func (lc *LaneCompiled) compileLaneDst(in *Inst) (blk laneBlock, fin laneOp) {
 		drop := make([]float32, 4*w)
 		return func(e *LaneEnv) []float32 { return drop }, nil
 	}
-	if lc.masked {
-		// Masked execution must never clobber inactive lanes (they resume
-		// at a different pc and will observe these registers), but the op
-		// inner loops run over the full width. Always stage into scratch 3
-		// and commit only the active lanes.
-		return lc.maskedDst(real, d.Mask)
-	}
 	ra, rb, rc := in.SrcLanes()
-	if !aliases(d, in.A, ra) && !aliases(d, in.B, rb) && !aliases(d, in.C, rc) {
+	if in.Op == OpTEX || !aliases(d, in.A, ra) && !aliases(d, in.B, rb) && !aliases(d, in.C, rc) {
 		return real, nil
 	}
 	stage := func(e *LaneEnv) []float32 { return e.scratch[3] }
@@ -531,11 +709,8 @@ func (lc *LaneCompiled) compileLaneInst(consts [][4]float32, in *Inst) laneOp {
 	wd, fin := lc.compileLaneDst(in)
 	switch in.Op {
 	case OpTEX:
-		if lc.masked {
-			// Fetch counts and sampler calls must be exact per lane, so the
-			// masked form has a dedicated body over active lanes only.
-			return lc.compileMaskedTex(consts, in)
-		}
+		// Only the active lanes fetch, so TexFetches and sampler calls
+		// (the coherence tracker's included) are exact per lane.
 		ra := lc.compileLaneSrc(consts, in.A, 0)
 		sampler := int(in.SamplerIdx)
 		uo, vo := ra.offs[0], ra.offs[1]
@@ -546,11 +721,11 @@ func (lc *LaneCompiled) compileLaneInst(consts [][4]float32, in *Inst) laneOp {
 				tcomps = append(tcomps, laneComp{d: ci * w, a: ci})
 			}
 		}
-		return withFin(func(e *LaneEnv) {
-			n := e.N
-			e.TexFetches += int64(n)
+		return func(e *LaneEnv) {
+			e.TexFetches += int64(len(e.active))
 			ab, db := ra.blk(e), wd(e)
-			for l := 0; l < n; l++ {
+			for _, li := range e.active {
+				l := int(li)
 				u, v := ab[uo+l], ab[vo+l]
 				var texel Vec4
 				if sampler >= 0 && sampler < len(e.Samplers) && e.Samplers[sampler] != nil {
@@ -562,7 +737,7 @@ func (lc *LaneCompiled) compileLaneInst(consts [][4]float32, in *Inst) laneOp {
 					db[t.d+l] = texel[t.a]
 				}
 			}
-		}, fin)
+		}
 	case OpMOV:
 		ra := lc.compileLaneSrc(consts, in.A, 0)
 		comps := activeComps(w, in.Dst.Mask, &ra, nil, nil)

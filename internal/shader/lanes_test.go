@@ -3,33 +3,39 @@ package shader
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"gles2gpgpu/internal/glsl"
+	"gles2gpgpu/internal/kernels"
 )
 
 // Differential testing of the lane-batched (SoA) backend against the
 // reference interpreter: a batch of N lanes must produce, for every lane,
-// bit-identical outputs to a serial interpreter invocation with the same
-// inputs, and the batch's Cycles/TexFetches deltas must equal the serial
-// sums. Bitwise comparison (diffBank): sign of zero matters, all NaNs form
-// one equivalence class.
+// bit-identical outputs and the same Discarded flag as a serial
+// interpreter invocation with the same inputs, and the batch's
+// Cycles/TexFetches deltas must equal the serial sums — divergence and
+// all. Bitwise comparison: sign of zero matters, all NaNs form one
+// equivalence class.
 
 // runLaneDiff executes p serially (interpreter, one fresh Env per lane)
-// and as one lane batch, then compares per-lane outputs and summed
-// counters. uni is broadcast to all lanes, inputs[lane] feeds lane's
-// input bank. n may be less than width (partial batch).
+// and as one lane batch, then compares per-lane outputs, Discarded flags
+// and summed counters. uni is broadcast to all lanes, inputs[lane] feeds
+// lane's input bank. n may be less than width (partial batch).
 func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
 	t.Helper()
 	lc := p.LaneCompiled(cost, width)
 	if lc == nil {
-		t.Fatalf("lane-eligible program did not compile (reason: %q):\n%s",
-			LaneFallbackReason(p), p.Disassemble())
+		_, reason := LaneFallbackAt(p)
+		t.Fatalf("lane-eligible program did not compile (reason: %q):\n%s", reason, p.Disassemble())
 	}
 
 	le := NewLaneEnv(p, width)
 	le.Sample = diffSampler
 	le.SetUniforms(uni)
 	var wantOut [][]Vec4
+	var wantDiscard []bool
 	var wantCycles, wantTex int64
 	for lane := 0; lane < n; lane++ {
 		e := NewEnv(p)
@@ -40,6 +46,7 @@ func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []
 			t.Fatalf("interp lane %d: %v", lane, err)
 		}
 		wantOut = append(wantOut, append([]Vec4(nil), e.Outputs...))
+		wantDiscard = append(wantDiscard, e.Discarded)
 		wantCycles += e.Cycles
 		wantTex += e.TexFetches
 		for reg, v := range inputs[lane] {
@@ -58,6 +65,13 @@ func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []
 			wantTex, le.TexFetches, width, n, p.Disassemble())
 	}
 	for lane := 0; lane < n; lane++ {
+		if le.Discarded[lane] != wantDiscard[lane] {
+			t.Fatalf("lane %d Discarded divergence: serial %v, lanes %v (w=%d n=%d)\n%s",
+				lane, wantDiscard[lane], le.Discarded[lane], width, n, p.Disassemble())
+		}
+		// Outputs are compared even for discarded lanes: the lane engine
+		// executes exactly the interpreter's prefix for that lane, so the
+		// partially-written output bank must match too.
 		for reg := range wantOut[lane] {
 			got := le.Output(lane, reg)
 			want := wantOut[lane][reg]
@@ -101,7 +115,7 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 	cost := DefaultCostModel()
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := randomProgram(rng, false) // straight-line only: lane-eligible
+		p := randomProgram(rng, false) // straight-line: one segment
 		width := 2 + rng.Intn(MaxLaneWidth-1)
 		for probe := 0; probe < 2; probe++ {
 			n := 1 + rng.Intn(width)
@@ -119,33 +133,48 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 	}
 }
 
-// TestDifferentialLaneKernelSuite runs every generated kernel through the
-// lane engine at the supported widths. jacobi is the deliberate exception:
-// its boundary ternary lowers to real branches, so it must report
-// ineligibility and fall back.
-func TestDifferentialLaneKernelSuite(t *testing.T) {
+// TestDifferentialMaskedLaneFuzz drives 400 quick-generated seeds through
+// randomized IR programs *with* control flow — forward BR/BRZ, KIL, early
+// RET, programs that split into several segments — at random widths and
+// live-lane counts. Every lane must match a serial interpreter
+// run bitwise, including the Discarded flag and per-lane-summed counters.
+func TestDifferentialMaskedLaneFuzz(t *testing.T) {
+	cost := DefaultCostModel()
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomProgram(rng, true) // forward branches, KIL, early RET
+		width := 2 + rng.Intn(MaxLaneWidth-1)
+		for probe := 0; probe < 2; probe++ {
+			n := 1 + rng.Intn(width)
+			uni, inputs := fuzzInputs(rng, p, n)
+			runLaneDiff(t, p, &cost, width, n, uni, inputs)
+		}
+		return true
+	}
+	cfg := &quick.Config{
+		MaxCount: 400,
+		Rand:     rand.New(rand.NewSource(20260808)),
+	}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runKernelSuite runs every generated kernel through the lane engine at
+// each width and each live-lane count ns(width) yields. Every kernel is
+// lane-eligible, jacobi — branchy, so it diverges within a batch —
+// included.
+func runKernelSuite(t *testing.T, widths []int, ns func(width int) []int) {
 	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(20260808))
 	for name, p := range kernelSuite(t) {
 		p := p
 		t.Run(name, func(t *testing.T) {
-			if name == "jacobi/fp32" || name == "jacobi/fp24" {
-				if lc := p.LaneCompiled(&cost, 8); lc != nil {
-					t.Fatal("jacobi is branchy and must not lane-compile")
-				}
-				if reason := LaneFallbackReason(p); reason == "" {
-					t.Fatal("jacobi must report a lane fallback reason")
-				}
-				return
-			}
-			if reason := LaneFallbackReason(p); reason != "" {
+			if _, reason := LaneFallbackAt(p); reason != "" {
 				t.Fatalf("kernel unexpectedly ineligible: %s", reason)
 			}
-			for _, width := range []int{2, 4, 8, 16} {
-				for _, n := range []int{1, width / 2, width} {
-					if n < 1 {
-						n = 1
-					}
+			for _, width := range widths {
+				for _, n := range ns(width) {
 					uni := make([]Vec4, maxi(p.NumUniform, 1))
 					for i := range uni {
 						uni[i] = Vec4{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
@@ -163,6 +192,19 @@ func TestDifferentialLaneKernelSuite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDifferentialLaneKernelSuite runs the kernel suite at every
+// power-of-two width with full, half and single-lane batches.
+func TestDifferentialLaneKernelSuite(t *testing.T) {
+	runKernelSuite(t, []int{2, 4, 8, 16}, func(w int) []int { return []int{1, w / 2, w} })
+}
+
+// TestDifferentialMaskedKernelSuite runs the kernel suite at odd partial
+// batches (w/2+1 live lanes), where jacobi's boundary lanes and interior
+// lanes split unevenly.
+func TestDifferentialMaskedKernelSuite(t *testing.T) {
+	runKernelSuite(t, []int{2, 8, 16}, func(w int) []int { return []int{1, w/2 + 1, w} })
 }
 
 // TestLaneSpecialValues pins per-lane propagation of the numeric edge
@@ -211,9 +253,82 @@ func TestLanePartialBatch(t *testing.T) {
 	}
 }
 
-// TestLaneIneligible pins each fallback clause: real branch, discard,
-// early RET, and the branchless fall-through exception that stays
-// eligible.
+// TestLaneSegments pins the block structure Run depends on: every
+// straight-line kernel compiles to one segment with no terminator (the
+// case Run charges statically, with no resume index or active scan), and
+// both branchy kernels, jacobi and jacobi8, to several segments.
+func TestLaneSegments(t *testing.T) {
+	cost := DefaultCostModel()
+	progs := kernelSuite(t)
+	for _, o := range []struct {
+		tag  string
+		opts kernels.Options
+	}{{"fp32", kernels.DefaultOptions}, {"fp24", kernels.FP24Options}} {
+		cs, err := glsl.Frontend(kernels.Jacobi8(16, 16, o.opts), glsl.CompileOptions{Stage: glsl.StageFragment})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if progs["jacobi8/"+o.tag], err = Compile(cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, p := range progs {
+		lc := p.LaneCompiled(&cost, LaneWidth)
+		if lc == nil {
+			t.Fatalf("%s: does not lane-compile", name)
+		}
+		if strings.HasPrefix(name, "jacobi") {
+			if len(lc.segs) < 2 {
+				t.Errorf("%s: %d segment(s), want several", name, len(lc.segs))
+			}
+			continue
+		}
+		if len(lc.segs) != 1 || lc.segs[0].term != termNone {
+			t.Errorf("%s: %d segment(s), first terminator %d; want one segment with none",
+				name, len(lc.segs), lc.segs[0].term)
+		}
+	}
+}
+
+// TestMaskedDivergencePinned pins a hand-built divergence scenario where
+// different lanes take each path of a BRZ, one lane discards, and one lane
+// early-returns — the branchy lane engine's whole feature matrix in one
+// batch.
+func TestMaskedDivergencePinned(t *testing.T) {
+	cost := DefaultCostModel()
+	p := &Program{
+		NumTemps: 2, NumInputs: 2, NumOutputs: 1, NumUniform: 1,
+		Insts: []Inst{
+			// if (in0.x == 0) goto else-branch (pc 4)
+			{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 4},
+			{Op: OpKIL, A: SrcReg(FileInput, 1)},                                                         // then: maybe discard
+			{Op: OpMUL, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0), B: SrcReg(FileInput, 0)}, // then: out = in0²
+			{Op: OpBR, Target: 6}, // skip else
+			{Op: OpADD, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0), B: SrcReg(FileInput, 1)}, // else: out = in0+in1
+			{Op: OpTEX, Dst: DstReg(FileTemp, 0, 4), A: SrcReg(FileInput, 1)},                            // else-only fetch
+			{Op: OpBRZ, A: SrcReg(FileInput, 1), Target: 8},                                              // join: maybe early ret
+			{Op: OpRET},
+			{Op: OpMOV, Dst: Dst{File: FileOutput, Reg: 0, Mask: 0x8}, A: SrcReg(FileUniform, 0)},
+			{Op: OpRET},
+		},
+	}
+	inputs := [][]Vec4{
+		{{1, 0, 0, 0}, {0, 0, 0, 0}},  // then-path, no discard, early ret
+		{{0, 0, 0, 0}, {0, 0, 0, 0}},  // else-path (TEX), early ret
+		{{2, 0, 0, 0}, {1, 0, 0, 0}},  // then-path, discards at pc 1
+		{{0, 0, 0, 0}, {3, 0, 0, 0}},  // else-path, runs to the end
+		{{-1, 0, 0, 0}, {2, 0, 0, 0}}, // then-path, discards
+		{{5, 0, 0, 0}, {0, 5, 0, 0}},  // then-path, no discard (cond reads .x)
+	}
+	uni := []Vec4{{0.25, 0.5, 0.75, 1}}
+	for _, width := range []int{6, 8, 16} {
+		runLaneDiff(t, p, &cost, width, len(inputs), uni, inputs)
+	}
+}
+
+// TestLaneIneligible pins the fallback clauses: backward branches are out
+// (unbounded divergence), while forward jumps, discard, early RET and
+// fall-through branches are all lane-eligible.
 func TestLaneIneligible(t *testing.T) {
 	cost := DefaultCostModel()
 	mov := Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
@@ -222,18 +337,20 @@ func TestLaneIneligible(t *testing.T) {
 		insts    []Inst
 		eligible bool
 	}{
-		{"real-branch", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, false},
-		{"real-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, false},
-		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, false},
-		{"early-ret", []Inst{{Op: OpRET}, mov}, false},
+		{"real-branch", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, true},
+		{"real-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, true},
+		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, true},
+		{"early-ret", []Inst{{Op: OpRET}, mov}, true},
 		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, true},
 		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, true},
+		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, false},
+		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts}
 			lc := p.LaneCompiled(&cost, 8)
-			reason := LaneFallbackReason(p)
+			_, reason := LaneFallbackAt(p)
 			if tc.eligible {
 				if lc == nil {
 					t.Fatalf("expected eligible, got fallback: %s", reason)
@@ -329,6 +446,45 @@ func TestLaneRunAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("lane hot path allocated %.1f times per batch, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestMaskedRunAllocs asserts the branchy hot path allocates nothing per
+// batch once compiled: the lanes diverge inside every batch, so the
+// active-lane scan and the write-set save reuse LaneEnv state.
+func TestMaskedRunAllocs(t *testing.T) {
+	cost := DefaultCostModel()
+	p := &Program{
+		NumTemps: 2, NumInputs: 1, NumOutputs: 1, NumUniform: 1,
+		Insts: []Inst{
+			{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 3},
+			{Op: OpTEX, Dst: DstReg(FileTemp, 0, 4), A: SrcReg(FileInput, 0)},
+			{Op: OpBR, Target: 4},
+			{Op: OpMOV, Dst: DstReg(FileTemp, 0, 4), A: SrcReg(FileUniform, 0)},
+			{Op: OpMUL, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileTemp, 0), B: SrcReg(FileInput, 0)},
+			{Op: OpRET},
+		},
+	}
+	const width = 8
+	lc := p.LaneCompiled(&cost, width)
+	if lc == nil {
+		t.Fatal("program must lane-compile")
+	}
+	env := NewLaneEnv(p, width)
+	env.Samplers = []TexFunc{func(u, v float32) Vec4 { return Vec4{u, v, u + v, 1} }}
+	var sink Vec4
+	allocs := testing.AllocsPerRun(200, func() {
+		for l := 0; l < width; l++ {
+			v := float32(l & 1) // alternate branch paths within the batch
+			env.SetInput(l, 0, Vec4{v, 0.5, 0.75, 1})
+		}
+		env.N = width
+		lc.Run(env)
+		sink = env.Output(width-1, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("branchy hot path allocated %.1f times per batch, want 0", allocs)
 	}
 	_ = sink
 }
