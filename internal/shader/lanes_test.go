@@ -326,26 +326,19 @@ func TestMaskedDivergencePinned(t *testing.T) {
 	}
 }
 
-// TestLaneIneligible pins the fallback clauses: backward branches are out
-// (unbounded divergence), while forward jumps, discard, early RET and
-// fall-through branches are all lane-eligible.
-func TestLaneIneligible(t *testing.T) {
+// eligibilityCase is one row of an eligibility table: a one-input,
+// one-output program and whether the lane engine must admit it.
+type eligibilityCase struct {
+	name     string
+	insts    []Inst
+	eligible bool
+}
+
+// checkLaneEligibility asserts LaneCompiled and LaneFallbackAt agree with
+// each row's verdict, and that every rejection carries a reason.
+func checkLaneEligibility(t *testing.T, cases []eligibilityCase) {
+	t.Helper()
 	cost := DefaultCostModel()
-	mov := Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
-	cases := []struct {
-		name     string
-		insts    []Inst
-		eligible bool
-	}{
-		{"real-branch", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, true},
-		{"real-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, true},
-		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, true},
-		{"early-ret", []Inst{{Op: OpRET}, mov}, true},
-		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, true},
-		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, true},
-		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, false},
-		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, false},
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts}
@@ -368,6 +361,37 @@ func TestLaneIneligible(t *testing.T) {
 			}
 		})
 	}
+}
+
+var eligMov = Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
+
+// TestLaneIneligible pins that real branches, discard, early RET and
+// fall-through branches all run on the lane engine.
+func TestLaneIneligible(t *testing.T) {
+	mov := eligMov
+	checkLaneEligibility(t, []eligibilityCase{
+		{"real-branch", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, true},
+		{"real-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, true},
+		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, true},
+		{"early-ret", []Inst{{Op: OpRET}, mov}, true},
+		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, true},
+		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, true},
+	})
+}
+
+// TestMaskedIneligible pins the divergence clauses: forward jumps, discard
+// and early RET split into masked segments, while backward branches are out
+// (unbounded divergence).
+func TestMaskedIneligible(t *testing.T) {
+	mov := eligMov
+	checkLaneEligibility(t, []eligibilityCase{
+		{"forward-br", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, true},
+		{"forward-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, true},
+		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, true},
+		{"early-ret", []Inst{{Op: OpRET}, mov}, true},
+		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, false},
+		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, false},
+	})
 }
 
 // TestLaneDstAliasing pins the staged-write path: an instruction whose
