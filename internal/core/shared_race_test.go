@@ -11,12 +11,11 @@ import (
 )
 
 // TestSharedProgramCacheConcurrentEngines hammers one SharedProgramCache
-// and one device profile (hence one lane-cache cost-model identity) from many
-// goroutines at once, each owning a private engine but sharing compiled
-// kernels. Run under -race this pins the two concurrency contracts the
-// serving layer relies on: the per-source program cache and the
-// Program.LaneCompiled memoisation are safe when the compiled artefacts
-// are shared across contexts.
+// and one device profile from many goroutines at once, each owning a
+// private engine but sharing compiled kernels. Run under -race this pins
+// the concurrency contract the serving layer relies on: the per-source
+// program cache is safe, and a shared shader.Program is immutable after
+// Compile — each engine's linked programs build their own lane forms.
 func TestSharedProgramCacheConcurrentEngines(t *testing.T) {
 	const (
 		goroutines = 8

@@ -397,7 +397,7 @@ func cohTileBytes(ct *cohTile) int {
 // samplers (in parallel when workers are configured), and refreshes the
 // cache. Returns ok=false when the draw is too large to cache; the caller
 // falls through to the plain tiled path.
-func (c *Context) shadeTrianglesCoherent(p *Program, lc *shader.LaneCompiled, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture) (drawStats, bool) {
+func (c *Context) shadeTrianglesCoherent(p *Program, lf *laneForm, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture) (drawStats, bool) {
 	tiles := binTiles(setups)
 	if len(tiles) == 0 {
 		return drawStats{}, false
@@ -470,8 +470,6 @@ func (c *Context) shadeTrianglesCoherent(p *Program, lc *shader.LaneCompiled, tg
 	}
 	uniforms4 := p.fsUniforms4()
 
-	lanePool := c.fsLanePoolFor(fp)
-
 	nw := c.workers
 	if nw > len(shadeIdx) {
 		nw = len(shadeIdx)
@@ -509,7 +507,7 @@ func (c *Context) shadeTrianglesCoherent(p *Program, lc *shader.LaneCompiled, tg
 			}
 			return tfns[idx](u, v)
 		}
-		ls := c.newLaneShader(lc, lanePool, p, tgt, tfns, sample)
+		ls := c.newLaneShader(lf, p, tgt, tfns, sample)
 
 		for {
 			wi := int(atomic.AddInt64(&next, 1)) - 1

@@ -144,6 +144,9 @@ type Program struct {
 	fragCoordReg  int // fs input register of gl_FragCoord, -1 if unused
 	pointCoordReg int // fs input register of gl_PointCoord, -1 if unused
 	attribs       []shader.VarInfo
+	// lanes is the fragment program's lane form, built by the first draw
+	// that shades the program (see laneFormFor); linking clears it.
+	lanes *laneForm
 }
 
 type uniformLoc struct {
@@ -223,10 +226,6 @@ type Context struct {
 	workers int
 	pool    *workerPool
 
-	// fsLanePool pools SoA batch environments for the lane-batched fast
-	// path (see lanes.go), recreated when the fragment program changes.
-	fsLanePool *shader.LaneEnvPool
-
 	// interpOnly forces every draw onto the per-fragment interpreter loop.
 	// Tests set it to obtain the oracle the fast path is compared against.
 	interpOnly bool
@@ -256,14 +255,6 @@ type Context struct {
 	cohStatic int64
 	// footCache memoises the per-program footprint analysis.
 	footCache map[*shader.Program]*analysis.Footprint
-
-	// strictLimits makes LinkProgram reject programs whose analysis-based
-	// resource counts (worst-path instructions/tex fetches,
-	// dependent-read depth, linear-scan register pressure) exceed the
-	// device profile — the paper's compile cliff, enforced at link time
-	// instead of silently mis-emulating. Only tests turn it on: the
-	// simulator wants to run over-limit programs to measure them.
-	strictLimits bool
 
 	// progCache memoises shader compilation by (stage, source hash) so
 	// multi-pass kernels that rebuild identical programs every pass (the
@@ -325,7 +316,9 @@ func (c *Context) Destroy() {
 		c.pool = nil
 	}
 	c.progCache = make(map[shaderCacheKey]shaderCacheEntry)
-	c.fsLanePool = nil
+	for _, p := range c.programs {
+		p.lanes = nil
+	}
 	c.cohCache = make(map[cohKey]*cohDraw)
 	c.cohBytes = 0
 }

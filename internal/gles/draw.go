@@ -191,12 +191,12 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	// below, the oracle the fast path is tested against. Draws without a
 	// lane form are counted (glslint's lane-fallback finding says why; the
 	// daemon exports the count per device).
-	lc := c.laneCompiledFor(fp)
-	if lc == nil {
+	lf := c.laneFormFor(p)
+	if lf == nil {
 		c.laneFallbackDraws++
 	}
 	if c.interpOnly {
-		lc = nil
+		lf = nil
 	}
 
 	// Vertex stage.
@@ -293,8 +293,8 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 		estFrags += int64(x1-x0+1) * int64(y1-y0+1)
 		setups = append(setups, t)
 	}
-	if lc != nil {
-		return c.shadeTriangles(p, lc, tgt, setups, estFrags, vpX, vpY, samplers, texFns)
+	if lf != nil {
+		return c.shadeTriangles(p, lf, tgt, setups, estFrags, vpX, vpY, samplers, texFns)
 	}
 
 	st := drawStats{valid: true}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"gles2gpgpu/internal/device"
+	"gles2gpgpu/internal/shader"
+	"gles2gpgpu/internal/shader/analysis"
 )
 
 // Fast-path parity: every draw scenario shaded by the tiled lane-batched
@@ -342,6 +344,20 @@ void main() {
 	}
 	gl_FragColor = vec4(fract(v), v_tex, 1.0);
 }`)},
+		// A fetch under a varying if on a 100-wide target: the x = 50
+		// boundary splits lane batches, so the TEX segment runs for part
+		// of a batch and must fetch for its active lanes only.
+		{"tex-under-branch", 100, 84, texturedQuad(t, 100, 84, `
+precision mediump float;
+varying vec2 v_tex;
+uniform sampler2D u_tex;
+void main() {
+	vec4 c = vec4(v_tex, 0.25, 1.0);
+	if (v_tex.x > 0.5) {
+		c = texture2D(u_tex, v_tex.yx);
+	}
+	gl_FragColor = c;
+}`)},
 		{"points-disjoint", n, n, points(t, "1.0", `
 precision mediump float;
 varying vec2 v_val;
@@ -378,7 +394,9 @@ void main() { gl_FragColor = vec4(1.0/255.0); }`, true, histogram(n)))
 // TestLaneFallbackCounter pins the fallback accounting: a program without
 // the liveness proofs has no lane form, so its draw shades on the
 // interpreter and counts a fallback; straight-line and forward-branching
-// programs take the fast path and leave the counter at zero.
+// programs take the fast path and leave the counter at zero. On every row
+// glslint's lane finding agrees with the draw: both read
+// shader.LaneFallbackAt.
 func TestLaneFallbackCounter(t *testing.T) {
 	const n = 32
 	cases := []struct {
@@ -410,11 +428,41 @@ void main() {
 		gl_FragColor = vec4(v_tex, 0.0, 1.0);
 	}
 }`, 1},
+		// A temp written only on one path, read after the join:
+		// WritesBeforeReads fails.
+		{"uninit", `
+precision mediump float;
+varying vec2 v_tex;
+void main() {
+	float x;
+	if (v_tex.x > 0.5) {
+		x = v_tex.y;
+	}
+	gl_FragColor = vec4(x, v_tex, 1.0);
+}`, 1},
 	}
 	for _, tc := range cases {
-		out := runScenario(t, 1, false, n, n, plainQuad(t, tc.fs))
+		var fp *shader.Program
+		out := runScenario(t, 1, false, n, n, func(gl *Context) uint32 {
+			p := plainQuad(t, tc.fs)(gl)
+			fp = gl.ProgramFS(p)
+			return p
+		})
 		if out.fallbacks != tc.want {
 			t.Errorf("%s: %d lane fallbacks, want %d", tc.name, out.fallbacks, tc.want)
+		}
+		want := "lane-eligible"
+		if out.fallbacks > 0 {
+			want = "lane-fallback"
+		}
+		var got []string
+		for _, f := range analysis.Lint(fp, nil) {
+			if f.Code == "lane-eligible" || f.Code == "lane-fallback" {
+				got = append(got, f.Code)
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("%s: lint lane findings %v, want [%s] to match the draw", tc.name, got, want)
 		}
 	}
 }

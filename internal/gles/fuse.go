@@ -61,63 +61,10 @@ func (c *Context) ComposePrograms(stages []ComposeStage) (uint32, []shader.Fused
 		return 0, nil, err
 	}
 
-	// Link the fused fragment program against the shared vertex shader,
-	// following LinkProgram's recipe (varying matching, uniform table).
 	np := &Program{name: c.genName()}
-	np.varyingMap = make([]int, fp.NumInputs)
-	for i := range np.varyingMap {
-		np.varyingMap[i] = -1
+	if err := np.link(vp, fp); err != nil {
+		return 0, nil, fmt.Errorf("compose: fused %w", err)
 	}
-	np.fragCoordReg = -1
-	np.pointCoordReg = -1
-	for _, in := range fp.Inputs {
-		switch in.Name {
-		case "gl_FragCoord":
-			np.fragCoordReg = in.Reg
-			continue
-		case "gl_PointCoord":
-			np.pointCoordReg = in.Reg
-			continue
-		case "gl_FrontFacing":
-			continue
-		}
-		out, ok := vp.LookupOutput(in.Name)
-		if !ok {
-			return 0, nil, fmt.Errorf("compose: fused varying %q is not written by the vertex shader", in.Name)
-		}
-		for r := 0; r < varRegs(in.Type); r++ {
-			np.varyingMap[in.Reg+r] = out.Reg + r
-		}
-	}
-
-	seen := map[string]int{}
-	addUniform := func(u shader.UniformInfo, isVS bool) {
-		idx, ok := seen[u.Name]
-		if !ok {
-			np.locs = append(np.locs, uniformLoc{name: u.Name, typ: u.Type, vsReg: -1, fsReg: -1, regs: u.Regs, samplerIdx: -1})
-			idx = len(np.locs) - 1
-			seen[u.Name] = idx
-		}
-		if isVS {
-			np.locs[idx].vsReg = u.Reg
-		} else {
-			np.locs[idx].fsReg = u.Reg
-			np.locs[idx].samplerIdx = u.SamplerIdx
-		}
-	}
-	for _, u := range vp.Uniforms {
-		addUniform(u, true)
-	}
-	for _, u := range fp.Uniforms {
-		addUniform(u, false)
-	}
-
-	np.vsProg, np.fsProg = vp, fp
-	np.vsUniforms = make([]shader.Vec4, maxInt(vp.NumUniform, 1))
-	np.fsUniforms = make([]shader.Vec4, maxInt(fp.NumUniform, 1))
-	np.samplerUnits = make([]int, len(fp.Samplers))
-	np.attribs = vp.Inputs
-	np.linked = true
 	c.programs[np.name] = np
 	return np.name, samplers, nil
 }

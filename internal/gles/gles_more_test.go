@@ -1,7 +1,6 @@
 package gles
 
 import (
-	"strings"
 	"testing"
 
 	"gles2gpgpu/internal/device"
@@ -689,11 +688,12 @@ void main(){ gl_FragColor = vec4(1.0); }`)
 	}
 }
 
-// TestStrictLinkLimits: the dependent-texture-read depth is invisible to
-// the compile-time counters, so a five-deep fetch chain compiles on the
-// VideoCore profile — but with strict link-time checking enabled the link
-// fails with the dataflow diagnostic, as the paper's drivers do.
-func TestStrictLinkLimits(t *testing.T) {
+// TestDependentTexChainLinks: the dependent-texture-read depth is
+// invisible to the compile-time counters, so a five-deep fetch chain
+// compiles and links on the VideoCore profile — the simulator runs
+// over-limit programs to measure them. glslc -limits and
+// analysis.TestDependentTexLimit report the depth diagnostic.
+func TestDependentTexChainLinks(t *testing.T) {
 	src := `
 precision mediump float;
 uniform sampler2D u_tex;
@@ -707,36 +707,23 @@ void main() {
 	c = texture2D(u_tex, c).xy;
 	gl_FragColor = vec4(c, 0.0, 1.0);
 }`
-	link := func(strict bool) (int, string, *Context) {
-		env := newEnv(t, device.VideoCoreIV(), 4, 4, false)
-		gl := env.gl
-		gl.strictLimits = strict
-		vs := gl.CreateShader(VERTEX_SHADER)
-		gl.ShaderSource(vs, quadVS)
-		gl.CompileShader(vs)
-		fs := gl.CreateShader(FRAGMENT_SHADER)
-		gl.ShaderSource(fs, src)
-		gl.CompileShader(fs)
-		if gl.GetShaderiv(fs, COMPILE_STATUS) != 1 {
-			t.Fatalf("compile-time limits should not see dependent reads: %s", gl.GetShaderInfoLog(fs))
-		}
-		p := gl.CreateProgram()
-		gl.AttachShader(p, vs)
-		gl.AttachShader(p, fs)
-		gl.LinkProgram(p)
-		return gl.GetProgramiv(p, LINK_STATUS), gl.GetProgramInfoLog(p), gl
+	env := newEnv(t, device.VideoCoreIV(), 4, 4, false)
+	gl := env.gl
+	defer gl.Destroy()
+	vs := gl.CreateShader(VERTEX_SHADER)
+	gl.ShaderSource(vs, quadVS)
+	gl.CompileShader(vs)
+	fs := gl.CreateShader(FRAGMENT_SHADER)
+	gl.ShaderSource(fs, src)
+	gl.CompileShader(fs)
+	if gl.GetShaderiv(fs, COMPILE_STATUS) != 1 {
+		t.Fatalf("compile-time limits should not see dependent reads: %s", gl.GetShaderInfoLog(fs))
 	}
-	status, _, gl := link(false)
-	gl.Destroy()
-	if status != 1 {
-		t.Fatalf("default link should accept the shader")
-	}
-	status, log, gl := link(true)
-	gl.Destroy()
-	if status != 0 {
-		t.Fatalf("strict link should reject the five-deep fetch chain")
-	}
-	if !strings.Contains(log, "dependent texture reads") {
-		t.Errorf("link log %q, want the dependent-texture-read diagnostic", log)
+	p := gl.CreateProgram()
+	gl.AttachShader(p, vs)
+	gl.AttachShader(p, fs)
+	gl.LinkProgram(p)
+	if gl.GetProgramiv(p, LINK_STATUS) != 1 {
+		t.Fatalf("link should accept the shader: %s", gl.GetProgramInfoLog(p))
 	}
 }

@@ -349,6 +349,51 @@ void main(){ gl_FragColor = vec4(v_missing, 0.0, 1.0); }`)
 	}
 }
 
+// TestRelinkDrawnProgram relinks a program that has already drawn with
+// shaders that use more registers: its next draw must run on the new
+// shaders, with execution state sized for them.
+func TestRelinkDrawnProgram(t *testing.T) {
+	env := newEnv(t, device.Generic(), 8, 8, false)
+	gl := env.gl
+	p := buildProgram(t, gl, quadVS, `
+precision mediump float;
+void main() { gl_FragColor = vec4(0.5); }`)
+	drawQuad(t, gl, p)
+	vs := gl.CreateShader(VERTEX_SHADER)
+	gl.ShaderSource(vs, `
+attribute vec2 a_pos;
+attribute vec4 a_col;
+varying vec4 v_col;
+void main() { gl_Position = vec4(a_pos, 0.0, 1.0); v_col = a_col; }`)
+	gl.CompileShader(vs)
+	fs := gl.CreateShader(FRAGMENT_SHADER)
+	gl.ShaderSource(fs, `
+precision mediump float;
+varying vec4 v_col;
+void main() { gl_FragColor = v_col; }`)
+	gl.CompileShader(fs)
+	gl.AttachShader(p, vs)
+	gl.AttachShader(p, fs)
+	gl.LinkProgram(p)
+	if gl.GetProgramiv(p, LINK_STATUS) != 1 {
+		t.Fatalf("relink: %s", gl.GetProgramInfoLog(p))
+	}
+	gl.UseProgram(p)
+	col := gl.GetAttribLocation(p, "a_col")
+	cols := make([]float32, 6*4)
+	for i := range cols {
+		cols[i] = 1
+	}
+	gl.EnableVertexAttribArray(col)
+	gl.VertexAttribPointerClient(col, 4, cols, 0, 0)
+	drawQuad(t, gl, p)
+	px := make([]byte, 4)
+	gl.ReadPixels(0, 0, 1, 1, RGBA, UNSIGNED_BYTE, px)
+	if px[0] != 255 || px[3] != 255 {
+		t.Errorf("relinked program drew %v, want opaque white", px)
+	}
+}
+
 func TestCompileLimitFailure(t *testing.T) {
 	// VideoCore profile allows 40 texture accesses: a 64-iteration
 	// texture loop must fail to compile, like the paper's block-32 sgemm.

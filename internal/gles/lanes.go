@@ -21,19 +21,45 @@ package gles
 //     walk: the walk already visits fragments in the order the serial
 //     engine would for each pixel, and flushing preserves it.
 //
-// Eligibility is gated in laneCompiledFor, which requires the
-// WritesBeforeReads + OutputsAlwaysWritten proofs: pooled LaneEnvs carry
+// Admission is shader.LaneFallbackAt, the rule glslint reports too: the
+// WritesBeforeReads + OutputsAlwaysWritten proofs (pooled LaneEnvs carry
 // stale register lanes between batches and draws, and the tiled walk
-// reorders fragments across pixels. Beyond that, the lane engine takes
-// every program with forward-only control flow — straight-line kernels
-// as one segment, branchy or discarding ones (jacobi) with per-lane
-// resume points — and the per-fragment interpreter runs the rest. A batch
-// can discard individual lanes, so flush consults LaneEnv.Discarded
-// before scattering.
+// reorders fragments across pixels), then forward-only control flow.
+// Straight-line kernels run as one segment, branchy or discarding ones
+// (jacobi) with per-lane resume points, and the per-fragment interpreter
+// runs the rest. A batch can discard individual lanes, so flush consults
+// LaneEnv.Discarded before scattering.
 
 import (
 	"gles2gpgpu/internal/shader"
 )
+
+// laneForm is a linked program's fragment shader compiled for the lane
+// engine, with the pool of LaneEnvs its draws' workers batch through. A
+// laneForm with a nil lc records that LaneFallbackAt rejected the program.
+type laneForm struct {
+	lc   *shader.LaneCompiled
+	pool *shader.LaneEnvPool
+}
+
+// laneFormFor returns the lane form p's draws shade on, or nil when p has
+// none and its draws run on the per-fragment interpreter. The form is
+// built by the first draw that shades p, priced by the context's cost
+// model, and kept until p is relinked: timing-only engines link programs
+// they never shade, so nothing is built at link time.
+func (c *Context) laneFormFor(p *Program) *laneForm {
+	if p.lanes == nil {
+		p.lanes = &laneForm{}
+		if pc, _ := shader.LaneFallbackAt(p.fsProg); pc < 0 {
+			p.lanes.lc = shader.CompileLanes(p.fsProg, &c.prof.CostModel, shader.LaneWidth)
+			p.lanes.pool = shader.NewLaneEnvPool(p.fsProg, shader.LaneWidth)
+		}
+	}
+	if p.lanes.lc == nil {
+		return nil
+	}
+	return p.lanes
+}
 
 // laneShader batches one worker's fragments through the lane engine.
 // Fields are resolved once per draw so the per-fragment add path touches
@@ -65,41 +91,21 @@ type laneShader struct {
 	onWrite func(px, py int32)
 }
 
-// laneCompiledFor returns the lane-batched compiled form this draw's
-// fragment program executes on, or nil when it has none (missing liveness
-// proofs, a backward branch, or an unsupported opcode). A nil return sends
-// the draw to the per-fragment interpreter.
-func (c *Context) laneCompiledFor(fp *shader.Program) *shader.LaneCompiled {
-	if !fp.WritesBeforeReads || !fp.OutputsAlwaysWritten {
-		return nil
-	}
-	return fp.LaneCompiled(&c.prof.CostModel, shader.LaneWidth)
-}
-
-// fsLanePoolFor returns the LaneEnv pool for the current fragment program,
-// recreating it when the program changes.
-func (c *Context) fsLanePoolFor(fp *shader.Program) *shader.LaneEnvPool {
-	if c.fsLanePool == nil || c.fsLanePool.Program() != fp {
-		c.fsLanePool = shader.NewLaneEnvPool(fp, shader.LaneWidth)
-	}
-	return c.fsLanePool
-}
-
 // newLaneShader prepares one worker's batcher for a draw: a pooled LaneEnv
 // with the draw's uniforms broadcast across lanes and the samplers
 // installed, plus the scatter state (target, gl_FragColor register, colour
 // mask) resolved once.
-func (c *Context) newLaneShader(lc *shader.LaneCompiled, pool *shader.LaneEnvPool, p *Program, tgt renderTarget, texFns []shader.TexFunc, sample shader.SampleFunc) *laneShader {
-	env := pool.Get()
+func (c *Context) newLaneShader(lf *laneForm, p *Program, tgt renderTarget, texFns []shader.TexFunc, sample shader.SampleFunc) *laneShader {
+	env := lf.pool.Get()
 	env.SetUniforms(p.fsUniforms)
 	env.Sample = sample
 	env.Samplers = texFns
 	out, hasOut := p.fsProg.LookupOutput("gl_FragColor")
 	return &laneShader{
 		c:           c,
-		lc:          lc,
+		lc:          lf.lc,
 		env:         env,
-		pool:        pool,
+		pool:        lf.pool,
 		pixels:      tgt.pixels,
 		tgtW:        tgt.w,
 		outReg:      out.Reg,

@@ -99,11 +99,10 @@ void main() {
 		gl_FragColor = vec4(v_tex, 0.0, 1.0);
 	}
 }`)
-	fp := gl.programs[p].fsProg
-	if fp.OutputsAlwaysWritten {
+	if gl.programs[p].fsProg.OutputsAlwaysWritten {
 		t.Fatal("conditional gl_FragColor write wrongly proven")
 	}
-	if gl.laneCompiledFor(fp) != nil {
+	if gl.laneFormFor(gl.programs[p]) != nil {
 		t.Error("fast-path gate accepted a conditionally-writing program")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"gles2gpgpu/internal/glsl"
 	"gles2gpgpu/internal/shader"
-	"gles2gpgpu/internal/shader/analysis"
 )
 
 // shaderCacheKey identifies a compiled shader by stage and source hash.
@@ -196,12 +195,33 @@ func (c *Context) LinkProgram(prog uint32) {
 		return
 	}
 	vp, fp := p.vs.compiled, p.fs.compiled
+	if p.fs.checked.VaryingVectors > c.prof.Limits.MaxVaryingVectors {
+		p.linkErr = fmt.Errorf("link: %d varying vectors exceed the limit of %d",
+			p.fs.checked.VaryingVectors, c.prof.Limits.MaxVaryingVectors)
+		return
+	}
+	if len(vp.Inputs) > c.prof.Limits.MaxAttributes {
+		p.linkErr = fmt.Errorf("link: %d attributes exceed the limit of %d", len(vp.Inputs), c.prof.Limits.MaxAttributes)
+		return
+	}
+	if err := p.link(vp, fp); err != nil {
+		p.linkErr = fmt.Errorf("link: fragment %w", err)
+	}
+	if c.envProg == p {
+		c.envProg = nil // the draw Envs were sized for the old shaders
+	}
+}
 
-	// Varying matching: every fragment input must be produced by the
-	// vertex shader (gl_FragCoord and friends are hardware-supplied).
-	p.varyingMap = make([]int, fp.NumInputs)
-	for i := range p.varyingMap {
-		p.varyingMap[i] = -1
+// link is the link step LinkProgram and ComposePrograms share: it matches
+// every fragment input to the vertex output of the same name
+// (gl_FragCoord and friends are hardware-supplied), merges the two
+// stages' uniforms into one location table by name, and installs vp and
+// fp with fresh uniform state. Relinking drops the previous lane form.
+// Limit checks are the caller's.
+func (p *Program) link(vp, fp *shader.Program) error {
+	varyingMap := make([]int, fp.NumInputs)
+	for i := range varyingMap {
+		varyingMap[i] = -1
 	}
 	p.fragCoordReg = -1
 	p.pointCoordReg = -1
@@ -218,39 +238,27 @@ func (c *Context) LinkProgram(prog uint32) {
 		}
 		out, ok := vp.LookupOutput(in.Name)
 		if !ok {
-			p.linkErr = fmt.Errorf("link: fragment varying %q is not written by the vertex shader", in.Name)
-			return
+			return fmt.Errorf("varying %q is not written by the vertex shader", in.Name)
 		}
 		for r := 0; r < varRegs(in.Type); r++ {
-			p.varyingMap[in.Reg+r] = out.Reg + r
+			varyingMap[in.Reg+r] = out.Reg + r
 		}
 	}
-	// Varying budget check.
-	if p.fs.checked.VaryingVectors > c.prof.Limits.MaxVaryingVectors {
-		p.linkErr = fmt.Errorf("link: %d varying vectors exceed the limit of %d",
-			p.fs.checked.VaryingVectors, c.prof.Limits.MaxVaryingVectors)
-		return
-	}
-	if len(vp.Inputs) > c.prof.Limits.MaxAttributes {
-		p.linkErr = fmt.Errorf("link: %d attributes exceed the limit of %d", len(vp.Inputs), c.prof.Limits.MaxAttributes)
-		return
-	}
 
-	// Uniform table: merge by name across stages.
-	p.locs = p.locs[:0]
+	locs := p.locs[:0]
 	seen := map[string]int{}
 	addUniform := func(u shader.UniformInfo, isVS bool) {
 		idx, ok := seen[u.Name]
 		if !ok {
-			p.locs = append(p.locs, uniformLoc{name: u.Name, typ: u.Type, vsReg: -1, fsReg: -1, regs: u.Regs, samplerIdx: -1})
-			idx = len(p.locs) - 1
+			locs = append(locs, uniformLoc{name: u.Name, typ: u.Type, vsReg: -1, fsReg: -1, regs: u.Regs, samplerIdx: -1})
+			idx = len(locs) - 1
 			seen[u.Name] = idx
 		}
 		if isVS {
-			p.locs[idx].vsReg = u.Reg
+			locs[idx].vsReg = u.Reg
 		} else {
-			p.locs[idx].fsReg = u.Reg
-			p.locs[idx].samplerIdx = u.SamplerIdx
+			locs[idx].fsReg = u.Reg
+			locs[idx].samplerIdx = u.SamplerIdx
 		}
 	}
 	for _, u := range vp.Uniforms {
@@ -260,27 +268,15 @@ func (c *Context) LinkProgram(prog uint32) {
 		addUniform(u, false)
 	}
 
-	// Strict link-time limit checking (opt-in): the dataflow-derived
-	// constraints — dependent-texture-read depth, live temp pressure —
-	// that the cheap compile-time counters in Program.CheckLimits cannot
-	// see. Mirrors drivers that defer such rejections to link.
-	if c.strictLimits {
-		lp := analysis.LimitProfile{Name: c.prof.Name, Limits: c.prof.Limits}
-		for _, sp := range []*shader.Program{vp, fp} {
-			res := analysis.CountResources(analysis.BuildCFG(sp))
-			if err := analysis.CheckLimitsError(sp, res, lp); err != nil {
-				p.linkErr = fmt.Errorf("link: %w", err)
-				return
-			}
-		}
-	}
-
+	p.varyingMap, p.locs = varyingMap, locs
 	p.vsProg, p.fsProg = vp, fp
 	p.vsUniforms = make([]shader.Vec4, maxInt(vp.NumUniform, 1))
 	p.fsUniforms = make([]shader.Vec4, maxInt(fp.NumUniform, 1))
 	p.samplerUnits = make([]int, len(fp.Samplers))
 	p.attribs = vp.Inputs
+	p.lanes = nil
 	p.linked = true
+	return nil
 }
 
 func varRegs(t glsl.Type) int {

@@ -10,11 +10,8 @@ import "sync"
 // once per pool rather than once per engine.
 //
 // Sharing compiled Programs across contexts is safe when all sharing
-// contexts use the same *device.Profile instance, which the serve layer
-// guarantees and ordinary callers should follow. The lane-form caches on
-// shader.Program are keyed by CostModel pointer identity, so distinct
-// Profile copies would thrash them (correct, but recompiling per draw),
-// and compile-time limit checks must agree.
+// contexts use the same device limits, so that compile-time limit checks
+// agree; the serve layer shares one *device.Profile per pool.
 //
 // All methods are safe for concurrent use.
 type SharedProgramCache struct {

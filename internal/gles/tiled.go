@@ -132,14 +132,14 @@ func binTiles(setups []raster.Triangle) []tileBin {
 }
 
 // shadeTriangles is the fast path for triangle draws whose fragment
-// program lane-compiles (lc, see laneCompiledFor): coherent tiles when the
+// program has a lane form (lf, see laneFormFor): coherent tiles when the
 // draw is eligible for cross-iteration elision (coherence.go), otherwise
 // every binned tile shaded in lane batches on min(workers, tiles)
 // goroutines — one, inline on the draw goroutine, below
 // parallelMinFragments estimated fragments.
-func (c *Context) shadeTriangles(p *Program, lc *shader.LaneCompiled, tgt renderTarget, setups []raster.Triangle, estFrags int64, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) drawStats {
+func (c *Context) shadeTriangles(p *Program, lf *laneForm, tgt renderTarget, setups []raster.Triangle, estFrags int64, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) drawStats {
 	if c.coherentEligible(tgt, samplers) {
-		if st, ok := c.shadeTrianglesCoherent(p, lc, tgt, setups, vpX, vpY, samplers); ok {
+		if st, ok := c.shadeTrianglesCoherent(p, lf, tgt, setups, vpX, vpY, samplers); ok {
 			return st
 		}
 	}
@@ -152,7 +152,6 @@ func (c *Context) shadeTriangles(p *Program, lc *shader.LaneCompiled, tgt render
 		nw = len(tiles)
 	}
 
-	pool := c.fsLanePoolFor(p.fsProg)
 	sample := envSampler(samplers)
 	var next int64
 	results := make([]shadeStats, nw)
@@ -160,7 +159,7 @@ func (c *Context) shadeTriangles(p *Program, lc *shader.LaneCompiled, tgt render
 		// Batches may span triangles and tiles within this worker's walk;
 		// scatter order equals gather order, so each pixel's shade/blend
 		// sequence matches the per-fragment interpreter loop.
-		ls := c.newLaneShader(lc, pool, p, tgt, texFns, sample)
+		ls := c.newLaneShader(lf, p, tgt, texFns, sample)
 		for {
 			ti := int(atomic.AddInt64(&next, 1)) - 1
 			if ti >= len(tiles) {

@@ -12,21 +12,40 @@ import (
 	"gles2gpgpu/internal/shader"
 )
 
-// Lane admission: the GLES fast path shades every fragment program the
-// lane engine admits, and only the interpreter runs the rest. GLSL ES 1.00
-// allows only statically bounded loops and the compiler unrolls them
-// fully, so emitted programs branch forward only; with every opcode
-// lane-implemented, LaneFallbackAt should admit everything the compiler
-// emits. These tests check that invariant over every shader
+// Lane admission: the GLES fast path shades every fragment program
+// LaneFallbackAt admits, and only the interpreter runs the rest. GLSL ES
+// 1.00 allows only statically bounded loops and the compiler unrolls them
+// fully, so emitted programs branch forward only: the lane engine
+// compiles everything the compiler emits, and admission comes down to the
+// liveness proofs. These tests check that invariant over every shader
 // source the repository ships or fuzzes; the fused composites the
 // pipeline planner builds are checked in internal/pipeline
 // (TestFusionDecisions).
 
-// expectAdmitted fails the test when the lane engine rejects p.
+// expectAdmitted fails the test when LaneFallbackAt rejects p.
 func expectAdmitted(t *testing.T, name string, p *shader.Program) {
 	t.Helper()
 	if pc, reason := shader.LaneFallbackAt(p); pc != -1 {
 		t.Errorf("%s: lane engine rejects pc %d: %s", name, pc, reason)
+	}
+}
+
+// expectAdmission fails the test unless p lane-compiles and LaneFallbackAt
+// admits it exactly when it carries both liveness proofs, rejecting it
+// otherwise with a liveness reason.
+func expectAdmission(t *testing.T, name string, p *shader.Program) {
+	t.Helper()
+	cost := shader.DefaultCostModel()
+	if shader.CompileLanes(p, &cost, shader.LaneWidth) == nil {
+		t.Errorf("%s: compiled program does not lane-compile:\n%s", name, p.Disassemble())
+	}
+	if p.WritesBeforeReads && p.OutputsAlwaysWritten {
+		expectAdmitted(t, name, p)
+		return
+	}
+	_, reason := shader.LaneFallbackAt(p)
+	if !strings.Contains(reason, "register read before written") && !strings.Contains(reason, "output not written") {
+		t.Errorf("%s: program without a liveness proof: reason %q, want a liveness reason", name, reason)
 	}
 }
 
@@ -76,7 +95,7 @@ func TestMaskedAdmitsFuzzCorpora(t *testing.T) {
 			for _, stage := range []glsl.ShaderStage{glsl.StageFragment, glsl.StageVertex} {
 				if p, ok := compileStage(src, stage); ok {
 					compiled++
-					expectAdmitted(t, name, p)
+					expectAdmission(t, name, p)
 				}
 			}
 		}
@@ -84,7 +103,7 @@ func TestMaskedAdmitsFuzzCorpora(t *testing.T) {
 	if compiled == 0 {
 		t.Fatal("no corpus program compiled")
 	}
-	t.Logf("%d corpus programs compiled and admitted", compiled)
+	t.Logf("%d corpus programs compiled and judged", compiled)
 }
 
 func TestMaskedAdmitsKernels(t *testing.T) {
@@ -143,5 +162,42 @@ func TestMaskedAdmitsKernels(t *testing.T) {
 	if !ok {
 		t.Fatal("shared vertex shader does not compile")
 	}
-	expectAdmitted(t, "vertex", p)
+	// Vertex programs never shade on the lane engine. This one leaves the
+	// .zw of its vec2 varying's register unwritten, so it has no
+	// OutputsAlwaysWritten proof; it must still lane-compile.
+	expectAdmission(t, "vertex", p)
+}
+
+// TestLaneFallbackLiveness pins the liveness clauses of the admission
+// rule: each rejection points at the instruction that breaks the proof.
+func TestLaneFallbackLiveness(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, reason string
+		op                shader.Op
+	}{
+		{"uninit-read", `precision mediump float;
+varying vec2 v;
+void main() {
+	float x;
+	if (v.x > 0.5) { x = 1.0; }
+	gl_FragColor = vec4(x);
+}`, "register read before written", shader.OpMOV},
+		{"open-exit", `precision mediump float;
+varying vec2 v;
+void main() {
+	if (v.x > 0.5) { gl_FragColor = vec4(v, 0.0, 1.0); }
+}`, "output not written", shader.OpRET},
+	} {
+		p, ok := compileStage(tc.src, glsl.StageFragment)
+		if !ok {
+			t.Fatalf("%s: does not compile", tc.name)
+		}
+		pc, reason := shader.LaneFallbackAt(p)
+		if pc < 0 || !strings.Contains(reason, tc.reason) {
+			t.Fatalf("%s: LaneFallbackAt = %d %q, want a %q rejection", tc.name, pc, reason, tc.reason)
+		}
+		if op := p.Insts[pc].Op; op != tc.op {
+			t.Errorf("%s: rejection points at %s (pc %d), want %s\n%s", tc.name, op, pc, tc.op, p.Disassemble())
+		}
+	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gles2gpgpu/internal/glsl"
@@ -11,12 +12,13 @@ import (
 
 // FuzzPassPipeline drives arbitrary GLSL through the front end and the
 // whole static-analysis stack — CFG, def-use, SCCP, resource counting,
-// lint, mask safety — then differentially executes any program that
-// survives: one batch of shader.LaneWidth lanes with distinct inputs on
-// the lane engine must match one reference-interpreter run per lane on
-// every output bit, the Discarded flag, Cycles and TexFetches. Panics,
-// parity breaks and compiled programs the lane engine rejects are all
-// fuzz failures; rejected sources are simply uninteresting.
+// lint — then checks the lane admission rule and differentially executes
+// any program that survives: one batch of shader.LaneWidth lanes with
+// distinct inputs on the lane engine must match one reference-interpreter
+// run per lane on every output bit, the Discarded flag, Cycles and
+// TexFetches. Panics, parity breaks and admission verdicts that do not
+// follow the liveness proofs are all fuzz failures; rejected sources are
+// simply uninteresting.
 func FuzzPassPipeline(f *testing.F) {
 	f.Add("precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }\n")
 	f.Add("precision mediump float;\nuniform float u;\nvoid main() {\n" +
@@ -40,22 +42,20 @@ func FuzzPassPipeline(f *testing.F) {
 		if err != nil || len(p.Insts) == 0 {
 			return
 		}
-		cfg := BuildCFG(p)
-		_ = CountResources(cfg)
+		_ = CountResources(BuildCFG(p))
 		_ = Lint(p, LimitProfiles())
-		// The CFG-derived mask-safety proof and the executor's own
-		// eligibility probe must agree on every program, and both must
-		// admit it: the compiler emits only forward branches and
-		// lane-implemented opcodes, so the GLES fast path can shade every
-		// program the liveness proofs allow.
-		_, execReason := shader.LaneFallbackAt(p)
-		_, cfgReason := MaskSafety(cfg)
-		if (execReason == "") != (cfgReason == "") {
-			t.Fatalf("MaskSafety and LaneFallbackAt disagree: executor %q, analysis %q",
-				execReason, cfgReason)
-		}
-		if execReason != "" {
-			t.Fatalf("compiled program rejected by the lane engine: %s", execReason)
+		// The compiler emits only forward branches, so admission to the
+		// GLES fast path comes down to the liveness proofs: every program
+		// holding both is admitted, every other one is rejected for
+		// liveness. The lane engine runs them all in a fresh LaneEnv.
+		_, reason := shader.LaneFallbackAt(p)
+		if p.WritesBeforeReads && p.OutputsAlwaysWritten {
+			if reason != "" {
+				t.Fatalf("program with both liveness proofs rejected: %s\n%s", reason, p.Disassemble())
+			}
+		} else if !strings.Contains(reason, "register read before written") &&
+			!strings.Contains(reason, "output not written") {
+			t.Fatalf("program without a liveness proof: reason %q, want a liveness reason\n%s", reason, p.Disassemble())
 		}
 		expectLaneParity(t, p)
 	})
@@ -114,9 +114,9 @@ func expectLaneParity(t *testing.T, p *shader.Program) {
 		wantTex += env.TexFetches
 	}
 
-	lc := p.LaneCompiled(&cost, w)
+	lc := shader.CompileLanes(p, &cost, w)
 	if lc == nil {
-		t.Fatalf("lane-eligible program did not compile on the lane engine:\n%s", p.Disassemble())
+		t.Fatalf("compiled program did not lane-compile:\n%s", p.Disassemble())
 	}
 	le := shader.NewLaneEnv(p, w)
 	le.Sample = fuzzSample

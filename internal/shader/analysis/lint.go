@@ -77,7 +77,7 @@ func Lint(p *shader.Program, profiles []LimitProfile) []Finding {
 		for _, lp := range profiles {
 			fs = append(fs, CheckLimits(p, res, lp)...)
 		}
-		fs = append(fs, lintLaneEligibility(p, cfg)...)
+		fs = append(fs, lintLaneEligibility(p)...)
 		fs = append(fs, lintFusionEligibility(p)...)
 	}
 	sort.SliceStable(fs, func(i, j int) bool {
@@ -249,29 +249,19 @@ func lintBuiltins(p *shader.Program, du *DefUse, sccp *SCCP) []Finding {
 	return fs
 }
 
-// lintLaneEligibility reports whether the lane-batched SoA engine can run
-// the program (an info note, not a defect): eligible programs shade
-// batches of fragments through each instruction at once, with per-lane
-// resume points across forward branches, while the rest fall back to
-// per-fragment execution. The eligibility probe is the executor's own
-// (shader.LaneFallbackAt); MaskSafety re-derives its control-flow half
-// from the CFG, so the two disagreeing would mean a compiler bug worth
-// surfacing loudly. MaskSafety does not judge opcodes, so a probe
-// rejection for a missing lane body is no disagreement.
-func lintLaneEligibility(p *shader.Program, cfg *CFG) []Finding {
-	pc, reason := shader.LaneFallbackAt(p)
-	spc, sreason := MaskSafety(cfg)
-	branch := pc >= 0 && (p.Insts[pc].Op == shader.OpBR || p.Insts[pc].Op == shader.OpBRZ)
-	if (reason == "" && sreason != "") || (branch && sreason == "") {
-		return []Finding{{
-			Code: "lane-eligible",
-			Sev:  SevWarning,
-			Msg: fmt.Sprintf("executor and CFG disagree on mask safety "+
-				"(executor: pc %d %q, analysis: pc %d %q); eligibility probe "+
-				"and analysis disagree (compiler bug?)", pc, reason, spc, sreason),
-		}}
+// lintLaneEligibility reports whether the GLES fast path shades the
+// program on the lane-batched SoA engine (an info note, not a defect):
+// admitted programs shade batches of fragments through each instruction
+// at once, with per-lane resume points across forward branches, while
+// the rest run per fragment. The verdict is shader.LaneFallbackAt, the
+// rule the draw applies, so the lint reports what the draw does. Vertex
+// programs are skipped: the lane engine shades fragments only.
+func lintLaneEligibility(p *shader.Program) []Finding {
+	if p.Stage != glsl.StageFragment {
+		return nil
 	}
-	if reason == "" {
+	pc, reason := shader.LaneFallbackAt(p)
+	if pc < 0 {
 		return []Finding{{
 			Code: "lane-eligible",
 			Sev:  SevInfo,

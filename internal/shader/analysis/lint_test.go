@@ -412,15 +412,17 @@ void main() {
 		t.Errorf("straight-line program should be lane-eligible: %v", fs)
 	}
 
-	// Backward branch: the fallback names the branch, with no warning
-	// (probe and CFG agree).
+	// Backward branch in a program that holds both liveness proofs: the
+	// fallback names the branch.
 	loop := &shader.Program{
+		Stage: glsl.StageFragment,
 		Insts: []shader.Inst{
 			{Op: shader.OpMOV, Dst: shader.DstReg(shader.FileTemp, 0, 4), A: shader.SrcReg(shader.FileInput, 0)},
 			{Op: shader.OpBRZ, A: shader.SrcReg(shader.FileTemp, 0), Target: 0},
 			{Op: shader.OpMOV, Dst: shader.DstReg(shader.FileOutput, 0, 4), A: shader.SrcReg(shader.FileTemp, 0)},
 		},
 		NumTemps: 1, NumInputs: 1, NumOutputs: 1,
+		WritesBeforeReads: true, OutputsAlwaysWritten: true,
 	}
 	fs = Lint(loop, nil)
 	fb := findByCode(fs, "lane-fallback")
@@ -428,7 +430,26 @@ void main() {
 		t.Errorf("backward branch should report lane-fallback at pc 1: %v", fs)
 	}
 	if el := findByCode(fs, "lane-eligible"); len(el) != 0 {
-		t.Errorf("probe and CFG agree on the loop, so no disagreement warning: %v", el)
+		t.Errorf("a fallback program must not also report lane-eligible: %v", el)
+	}
+
+	// A conditionally written temp read after the if: the draw shades it
+	// per fragment, and the lint says so at the read.
+	p = compileGLSL(t, `precision mediump float;
+varying vec2 v;
+void main() {
+	float x;
+	if (v.x > 0.5) { x = 1.0; }
+	gl_FragColor = vec4(x);
+}
+`)
+	fs = Lint(p, nil)
+	fb = findByCode(fs, "lane-fallback")
+	if len(fb) != 1 || !strings.Contains(fb[0].Msg, "register read before written") || fb[0].Pos.Line != 6 {
+		t.Errorf("uninitialised read should report lane-fallback at line 6: %v", fs)
+	}
+	if el := findByCode(fs, "lane-eligible"); len(el) != 0 {
+		t.Errorf("a fallback program must not also report lane-eligible: %v", el)
 	}
 }
 

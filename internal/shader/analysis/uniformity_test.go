@@ -95,33 +95,3 @@ void main() {
 		t.Errorf("discard depending on a varying should be varying or divergent")
 	}
 }
-
-func TestMaskSafetyMatchesExecutorProbe(t *testing.T) {
-	// Forward-only diamond: both the analysis and the executor accept it.
-	c := BuildCFG(diamond())
-	if pc, reason := MaskSafety(c); pc >= 0 {
-		t.Errorf("diamond rejected at pc %d: %s", pc, reason)
-	}
-	if pc, _ := shader.LaneFallbackAt(diamond()); pc >= 0 {
-		t.Errorf("executor probe rejects the diamond at pc %d", pc)
-	}
-
-	// Backward branch: both must reject, at the same instruction.
-	loop := &shader.Program{
-		Insts: []shader.Inst{
-			mov(dtemp(0), inp(0)),
-			{Op: shader.OpBRZ, A: temp(0), Target: 0},
-			mov(shader.DstReg(shader.FileOutput, 0, 4), temp(0)),
-		},
-		NumTemps:   1,
-		NumInputs:  1,
-		NumOutputs: 1,
-	}
-	pc, reason := MaskSafety(BuildCFG(loop))
-	if pc != 1 {
-		t.Fatalf("MaskSafety(loop) = %d (%s), want pc 1", pc, reason)
-	}
-	if ppc, _ := shader.LaneFallbackAt(loop); ppc != pc {
-		t.Errorf("analysis (pc %d) and executor probe (pc %d) disagree", pc, ppc)
-	}
-}

@@ -28,14 +28,11 @@ func NewLaneEnvPool(p *Program, width int) *LaneEnvPool {
 	return &LaneEnvPool{prog: p, width: width}
 }
 
-// Program returns the program the pool serves.
-func (pl *LaneEnvPool) Program() *Program { return pl.prog }
-
 // Get returns a ready LaneEnv, reusing a previously returned one when
 // available. Reused LaneEnvs keep their accumulated Cycles/TexFetches
 // (callers measure deltas); register slabs may hold stale lanes, which is
-// only trustworthy for programs with WritesBeforeReads — exactly the
-// precondition the GLES layer's lane gate enforces.
+// only trustworthy for programs with WritesBeforeReads — the first clause
+// of LaneFallbackAt, which the GLES layer checks before it pools.
 func (pl *LaneEnvPool) Get() *LaneEnv {
 	pl.mu.Lock()
 	if n := len(pl.free); n > 0 {

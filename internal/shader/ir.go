@@ -21,8 +21,6 @@ package shader
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"gles2gpgpu/internal/glsl"
 )
@@ -288,7 +286,8 @@ type VarInfo struct {
 	Components int
 }
 
-// Program is a compiled shader.
+// Program is a compiled shader, immutable after Compile: any number of
+// engines and goroutines may share one.
 type Program struct {
 	Stage  glsl.ShaderStage
 	Source string // original GLSL, retained for diagnostics
@@ -327,15 +326,6 @@ type Program struct {
 	// previous fragment's colour; parallel shading requires this flag (in
 	// addition to WritesBeforeReads) to rule that channel out.
 	OutputsAlwaysWritten bool
-
-	// compileMu serialises lane-form cache fills so concurrent engines
-	// sharing one Program (a serving worker pool) compile it exactly once;
-	// reads stay lock-free through the atomic pointers.
-	compileMu sync.Mutex
-	// lanes caches the lane-batched (SoA) compiled form (see lanes.go),
-	// keyed by (cost, width); ineligible programs cache a sentinel so the
-	// eligibility scan is not repeated per draw.
-	lanes atomic.Pointer[LaneCompiled]
 }
 
 // InstructionCount returns the static instruction count after unrolling.

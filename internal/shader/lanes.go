@@ -19,7 +19,7 @@ package shader
 // Operand decode and closure dispatch are paid once per instruction per
 // *batch*, amortising them W×.
 //
-// Block structure. compileLanes splits a program into segments, which are
+// Block structure. CompileLanes splits a program into segments, which are
 // basic blocks. A boundary falls at every real branch target and after
 // every real terminator: a BR/BRZ whose target is not pc+1, a KIL, or a
 // RET that is not the last instruction. Fall-through branches (target =
@@ -31,8 +31,9 @@ package shader
 // Branchy programs run under a per-lane resume index: Run sweeps the
 // segments in program order, and the lanes whose resume index names the
 // current segment are active. The obligations that make this sound
-// (checked by LaneFallbackAt, cross-checked by the analysis package's
-// MaskSafety):
+// (the first checked by CompileLanes; LaneFallbackAt, the GLES fast
+// path's admission rule, adds the liveness proofs that make pooled
+// LaneEnvs safe to reuse):
 //
 //   - Forward branches only. Every BR/BRZ target exceeds its own pc, so
 //     program order is a topological order of the CFG and one sweep visits
@@ -137,8 +138,6 @@ type LaneEnv struct {
 	// lanes' write-set values while a partial segment runs.
 	resume []int32
 	save   []float32
-
-	prog *Program
 }
 
 // NewLaneEnv returns a batch environment sized for p at the given width.
@@ -158,7 +157,6 @@ func NewLaneEnv(p *Program, width int) *LaneEnv {
 		ident:     make([]int32, width),
 		actBuf:    make([]int32, 0, width),
 		resume:    make([]int32, width),
-		prog:      p,
 	}
 	for i := range e.scratch {
 		e.scratch[i] = make([]float32, 4*width)
@@ -168,9 +166,6 @@ func NewLaneEnv(p *Program, width int) *LaneEnv {
 	}
 	return e
 }
-
-// Program returns the program the LaneEnv was sized for.
-func (e *LaneEnv) Program() *Program { return e.prog }
 
 // SetUniforms broadcasts a draw's uniform registers across all lanes.
 // Uniforms are draw-invariant, so this runs once per draw, not per batch.
@@ -231,11 +226,9 @@ type laneSrc struct {
 // CostModel at one width. Immutable after compilation: any number of
 // goroutines may Run it concurrently with distinct LaneEnvs.
 type LaneCompiled struct {
-	cost  *CostModel
 	width int
 
-	// segs are the program's basic blocks in program order; nil marks a
-	// cached ineligible program (see Program.LaneCompiled).
+	// segs are the program's basic blocks in program order.
 	segs []laneSeg
 	// saveLen is the LaneEnv.save length the largest write set needs.
 	saveLen int
@@ -379,70 +372,43 @@ func (e *LaneEnv) slab(sv laneSlab) []float32 {
 	return e.Tmp[sv.off : sv.off+e.Width]
 }
 
-// LaneCompiled returns the lane-batched compiled form of p under cost at
-// the given width, building it on first use and caching it on the Program
-// (one-entry cache keyed by cost pointer and width — a Program belongs to
-// one device profile and engines run one width, so the key never thrashes
-// in practice). Returns nil when LaneFallbackAt rejects p or width is out
-// of range [2, MaxLaneWidth]; callers fall back to the interpreter.
-func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
-	c := p.lanes.Load()
-	if c == nil || c.cost != cost || c.width != width {
-		p.compileMu.Lock()
-		if c = p.lanes.Load(); c == nil || c.cost != cost || c.width != width {
-			if c = compileLanes(p, cost, width); c == nil {
-				// Cache the negative result so ineligible programs do not
-				// pay the eligibility scan per draw.
-				c = &LaneCompiled{cost: cost, width: width}
-			}
-			p.lanes.Store(c)
-		}
-		p.compileMu.Unlock()
-	}
-	if c.segs == nil {
-		return nil
-	}
-	return c
-}
-
-// LaneFallbackAt reports why p cannot run on the lane engine, with the
-// offending instruction's index so tooling (glslint's lane rule) can point
-// at its source position; pc is -1 and reason "" when p is lane-eligible.
-// Only backward branches (lanes could diverge without bound) and opcodes
-// with no lane body disqualify. The liveness proofs (WritesBeforeReads,
-// OutputsAlwaysWritten) are a separate gate in the GLES layer because
-// they concern LaneEnv reuse, not the batch execution itself.
+// LaneFallbackAt is admission to the GLES fast path: it reports why p
+// may not shade on the lane engine, with the offending instruction's
+// index so tooling (glslint's lane rule) can point at its source
+// position; pc is -1 and reason "" when p is admitted. It rejects, in
+// this order:
+//
+//   - a program without WritesBeforeReads, at its first read of an
+//     unwritten register: pooled LaneEnvs carry stale register lanes
+//     between batches and draws;
+//   - a program without OutputsAlwaysWritten, at its first exit that
+//     leaves an output unwritten: the scatter reads outputs after every
+//     batch;
+//   - a backward branch (CompileLanes' own precondition).
 func LaneFallbackAt(p *Program) (pc int, reason string) {
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		switch in.Op {
-		case OpBR, OpBRZ:
-			if int(in.Target) <= i {
-				return i, fmt.Sprintf("backward branch at pc %d to %d (lanes could diverge without bound)", i, in.Target)
-			}
-		case OpKIL:
-		default:
-			if !laneOpSupported(in.Op) {
-				return i, fmt.Sprintf("opcode %s at pc %d has no lane implementation", in.Op, i)
-			}
-		}
+	if !p.WritesBeforeReads {
+		pc := max(firstUninitRead(p, p.MustWrite()), 0)
+		return pc, fmt.Sprintf("register read before written at pc %d (pooled lane registers would leak between fragments)", pc)
+	}
+	if !p.OutputsAlwaysWritten {
+		pc := max(firstOpenExit(p, p.MustWrite()), 0)
+		return pc, fmt.Sprintf("output not written on every path to the exit at pc %d (the scatter would read a stale colour)", pc)
+	}
+	if pc := backwardBranch(p); pc >= 0 {
+		return pc, fmt.Sprintf("backward branch at pc %d to %d (lanes could diverge without bound)", pc, p.Insts[pc].Target)
 	}
 	return -1, ""
 }
 
-// laneOpSupported reports whether compileLaneInst implements op.
-func laneOpSupported(op Op) bool {
-	switch op {
-	case OpNOP, OpRET, OpBR, OpBRZ,
-		OpMOV, OpADD, OpSUB, OpMUL, OpDIV, OpMAD, OpMUL24,
-		OpDP2, OpDP3, OpDP4, OpMIN, OpMAX, OpCLAMP,
-		OpABS, OpSGN, OpFLR, OpCEIL, OpFRC,
-		OpRCP, OpRSQ, OpSQRT, OpEX2, OpLG2, OpPOW, OpEXP, OpLOG,
-		OpSIN, OpCOS, OpTAN, OpASIN, OpACOS, OpATAN, OpATAN2,
-		OpSLT, OpSLE, OpSGT, OpSGE, OpSEQ, OpSNE, OpSEL, OpQUANT, OpTEX:
-		return true
+// backwardBranch returns the first BR/BRZ whose target does not exceed
+// its own pc, or -1: the one shape the segment sweep cannot run.
+func backwardBranch(p *Program) int {
+	for i := range p.Insts {
+		if in := &p.Insts[i]; (in.Op == OpBR || in.Op == OpBRZ) && int(in.Target) <= i {
+			return i
+		}
 	}
-	return false
+	return -1
 }
 
 // laneTerminates reports whether instruction i ends its segment: a real
@@ -459,13 +425,13 @@ func laneTerminates(insts []Inst, i int) bool {
 	return false
 }
 
-// compileLanes splits p into segments of lane closures; nil when p is
-// ineligible (see LaneFallbackAt) or the width is out of range.
-func compileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
-	if width < 2 || width > MaxLaneWidth {
-		return nil
-	}
-	if pc, _ := LaneFallbackAt(p); pc >= 0 {
+// CompileLanes splits p into segments of lane closures priced under cost,
+// for batches of the given width. It returns nil when p branches backward
+// or width is outside [2, MaxLaneWidth] — the executor's own
+// preconditions. Whether a draw may use the result is LaneFallbackAt's
+// decision, which adds the liveness proofs.
+func CompileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
+	if width < 2 || width > MaxLaneWidth || backwardBranch(p) >= 0 {
 		return nil
 	}
 	insts := p.Insts
@@ -491,7 +457,7 @@ func compileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
 		}
 		segOf[i] = int32(nseg - 1)
 	}
-	lc := &LaneCompiled{cost: cost, width: width, segs: make([]laneSeg, maxi(nseg, 1))}
+	lc := &LaneCompiled{width: width, segs: make([]laneSeg, maxi(nseg, 1))}
 	seen := make(map[laneSlab]bool) // the current segment's write set
 	for i := range insts {
 		in := &insts[i]

@@ -25,10 +25,9 @@ import (
 // lane's input bank. n may be less than width (partial batch).
 func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
 	t.Helper()
-	lc := p.LaneCompiled(cost, width)
+	lc := CompileLanes(p, cost, width)
 	if lc == nil {
-		_, reason := LaneFallbackAt(p)
-		t.Fatalf("lane-eligible program did not compile (reason: %q):\n%s", reason, p.Disassemble())
+		t.Fatalf("forward-branching program did not lane-compile at width %d:\n%s", width, p.Disassemble())
 	}
 
 	le := NewLaneEnv(p, width)
@@ -170,9 +169,6 @@ func runKernelSuite(t *testing.T, widths []int, ns func(width int) []int) {
 	for name, p := range kernelSuite(t) {
 		p := p
 		t.Run(name, func(t *testing.T) {
-			if _, reason := LaneFallbackAt(p); reason != "" {
-				t.Fatalf("kernel unexpectedly ineligible: %s", reason)
-			}
 			for _, width := range widths {
 				for _, n := range ns(width) {
 					uni := make([]Vec4, maxi(p.NumUniform, 1))
@@ -273,7 +269,7 @@ func TestLaneSegments(t *testing.T) {
 		}
 	}
 	for name, p := range progs {
-		lc := p.LaneCompiled(&cost, LaneWidth)
+		lc := CompileLanes(p, &cost, LaneWidth)
 		if lc == nil {
 			t.Fatalf("%s: does not lane-compile", name)
 		}
@@ -334,15 +330,18 @@ type eligibilityCase struct {
 	eligible bool
 }
 
-// checkLaneEligibility asserts LaneCompiled and LaneFallbackAt agree with
-// each row's verdict, and that every rejection carries a reason.
+// checkLaneEligibility asserts CompileLanes and LaneFallbackAt agree with
+// each row's verdict, and that every rejection carries a reason. The rows
+// pin the control-flow clause, so each program asserts both liveness
+// proofs: LaneFallbackAt then judges its branches alone.
 func checkLaneEligibility(t *testing.T, cases []eligibilityCase) {
 	t.Helper()
 	cost := DefaultCostModel()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts}
-			lc := p.LaneCompiled(&cost, 8)
+			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts,
+				WritesBeforeReads: true, OutputsAlwaysWritten: true}
+			lc := CompileLanes(p, &cost, 8)
 			_, reason := LaneFallbackAt(p)
 			if tc.eligible {
 				if lc == nil {
@@ -392,6 +391,28 @@ func TestMaskedIneligible(t *testing.T) {
 		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, false},
 		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, false},
 	})
+}
+
+// TestLaneOpcodeCoverage runs every opcode the IR defines through
+// CompileLanes and against the interpreter, so an opcode added without a
+// lane body fails here rather than in a draw.
+func TestLaneOpcodeCoverage(t *testing.T) {
+	cost := DefaultCostModel()
+	inputs := [][]Vec4{{{0.5, -2, 3, 0}}, {{0, 1, -0.25, 8}}, {{-1.5, 0.75, 0, 2}}}
+	for op := Op(0); op < opMax; op++ {
+		t.Run(op.String(), func(t *testing.T) {
+			p := &Program{
+				NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1,
+				Insts: []Inst{
+					{Op: op, Dst: DstReg(FileTemp, 0, 4), A: SrcReg(FileInput, 0), B: SrcReg(FileUniform, 0), C: SrcReg(FileInput, 0), Target: 2},
+					{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)},
+					{Op: OpMOV, Dst: Dst{File: FileOutput, Reg: 0, Mask: 0x1}, A: SrcReg(FileTemp, 0)},
+					{Op: OpRET},
+				},
+			}
+			runLaneDiff(t, p, &cost, 4, len(inputs), []Vec4{{0.25, 2, -1, 0.5}}, inputs)
+		})
+	}
 }
 
 // TestLaneDstAliasing pins the staged-write path: an instruction whose
@@ -452,7 +473,7 @@ func TestLaneRunAllocs(t *testing.T) {
 		},
 	}
 	const width = 8
-	lc := p.LaneCompiled(&cost, width)
+	lc := CompileLanes(p, &cost, width)
 	if lc == nil {
 		t.Fatal("program must lane-compile")
 	}
@@ -491,7 +512,7 @@ func TestMaskedRunAllocs(t *testing.T) {
 		},
 	}
 	const width = 8
-	lc := p.LaneCompiled(&cost, width)
+	lc := CompileLanes(p, &cost, width)
 	if lc == nil {
 		t.Fatal("program must lane-compile")
 	}

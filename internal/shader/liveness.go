@@ -104,37 +104,57 @@ func (p *Program) MustWrite() *MustWriteInfo {
 	return m
 }
 
-// exitMustWrite returns the meet of the definitely-written sets over every
-// non-discarding exit: RET exits contribute their in-set; instructions
-// whose fall-through leaves the program contribute their out-set.
-// Unreachable exits stay at top and do not weaken the meet.
-func exitMustWrite(p *Program, m *MustWriteInfo) dataflow.BitSet {
+// firstOpenExit returns the first non-discarding exit at which some
+// output register component is not definitely written, or -1 when every
+// exit writes them all: RET exits check their in-set; instructions whose
+// fall-through leaves the program check their out-set. Unreachable exits
+// are top and never fail.
+func firstOpenExit(p *Program, m *MustWriteInfo) int {
 	n := len(p.Insts)
-	exit := dataflow.NewBitSet(4 * (p.NumTemps + p.NumOutputs))
-	exit.Fill()
 	for i := range p.Insts {
-		switch p.Insts[i].Op {
-		case OpRET:
-			exit.IntersectWith(m.In[i])
-		case OpBR:
-			// never falls through
+		var set dataflow.BitSet
+		switch in := &p.Insts[i]; {
+		case in.Op == OpRET:
+			set = m.In[i]
+		case in.Op == OpBR || i+1 != n:
+			continue // never falls out of the program
 		default:
-			if i+1 == n {
-				out := m.In[i].Clone()
-				in := &p.Insts[i]
-				if mask := in.WriteMask(); mask != 0 &&
-					(in.Dst.File == FileTemp || in.Dst.File == FileOutput) {
-					for c := 0; c < 4; c++ {
-						if mask&(1<<uint(c)) != 0 {
-							out.Set(m.bit(in.Dst.File, in.Dst.Reg, c))
-						}
+			set = m.In[i].Clone()
+			if mask := in.WriteMask(); mask != 0 &&
+				(in.Dst.File == FileTemp || in.Dst.File == FileOutput) {
+				for c := 0; c < 4; c++ {
+					if mask&(1<<uint(c)) != 0 {
+						set.Set(m.bit(in.Dst.File, in.Dst.Reg, c))
 					}
 				}
-				exit.IntersectWith(out)
+			}
+		}
+		for r := 0; r < p.NumOutputs; r++ {
+			for c := 0; c < 4; c++ {
+				if !set.Get(m.bit(FileOutput, uint16(r), c)) {
+					return i
+				}
 			}
 		}
 	}
-	return exit
+	return -1
+}
+
+// firstUninitRead returns the first instruction that reads a temp or
+// output register component not definitely written before it, or -1.
+// Only post-swizzle lanes that influence the result count as reads
+// (Inst.SrcLanes).
+func firstUninitRead(p *Program, m *MustWriteInfo) int {
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		la, lb, lc := in.SrcLanes()
+		if !m.SrcWrittenAt(i, in.A, la) ||
+			!m.SrcWrittenAt(i, in.B, lb) ||
+			!m.SrcWrittenAt(i, in.C, lc) {
+			return i
+		}
+	}
+	return -1
 }
 
 // analyzeLiveness reports (writesBeforeReads, outputsAlwaysWritten) for p.
@@ -143,30 +163,5 @@ func analyzeLiveness(p *Program) (wbr, outAlways bool) {
 		return true, p.NumOutputs == 0
 	}
 	m := p.MustWrite()
-
-	exit := exitMustWrite(p, m)
-	outAlways = true
-outer:
-	for r := 0; r < p.NumOutputs; r++ {
-		for c := 0; c < 4; c++ {
-			if !exit.Get(m.bit(FileOutput, uint16(r), c)) {
-				outAlways = false
-				break outer
-			}
-		}
-	}
-
-	// Check every read against the definitely-written set at its
-	// instruction. Only post-swizzle lanes that influence the result count
-	// as reads (Inst.SrcLanes).
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		la, lb, lc := in.SrcLanes()
-		if !m.SrcWrittenAt(i, in.A, la) ||
-			!m.SrcWrittenAt(i, in.B, lb) ||
-			!m.SrcWrittenAt(i, in.C, lc) {
-			return false, outAlways
-		}
-	}
-	return true, outAlways
+	return firstUninitRead(p, m) < 0, firstOpenExit(p, m) < 0
 }
