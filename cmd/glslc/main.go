@@ -41,7 +41,7 @@ func (d defineFlags) Set(v string) error {
 
 func main() {
 	stage := flag.String("stage", "fragment", "shader stage: fragment or vertex")
-	dev := flag.String("device", "generic", "device profile for limits and cycle costs: vc4, sgx or generic")
+	dev := flag.String("device", "generic", "device profile whose limits the program is checked against: vc4, sgx or generic")
 	cycles := flag.Bool("cycles", true, "print the static cycle estimate")
 	lint := flag.Bool("lint", false, "run the static-analysis diagnostics (same rules as glslint)")
 	limits := flag.String("limits", "", "check dataflow-derived resource usage against a device profile: vc4, sgx, generic or all")
@@ -97,8 +97,7 @@ func main() {
 	}
 	fmt.Print(prog.Disassemble())
 	if *cycles {
-		fmt.Printf("; static cycles per invocation on %s: %d\n",
-			prof.Name, prof.CostModel.StaticCycles(prog))
+		fmt.Printf("; static cycles per invocation: %d\n", prog.StaticCycles())
 	}
 	if err := prog.CheckLimits(prof.Limits); err != nil {
 		fmt.Fprintf(os.Stderr, "glslc: %s: %v\n", prof.Name, err)

@@ -30,7 +30,8 @@ type AblationResult struct {
 	Rows   []AblationRow
 }
 
-// Ablation runs the mechanism study on a copy of the given profile.
+// Ablation runs the mechanism study on the given profile, perturbing only
+// copies of it.
 func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult, error) {
 	res := &AblationResult{Device: dev.Name}
 	memo := calibrations{}
@@ -47,9 +48,6 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 		c := *dev
 		return &c
 	}
-	// Every run without a perturbed mechanism shares one copy, so those
-	// runs share their calibrations too.
-	modelled := clone()
 	texCfg := core.Config{Swap: core.SwapNone, Target: core.TargetTexture, UseVBO: true}
 	fbCfg := core.Config{Swap: core.SwapNone, Target: core.TargetFramebuffer, UseVBO: true}
 	sgemm := Spec{Workload: WSgemm, Block: 16}
@@ -64,7 +62,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 1. Deferred frame overlap: without it the CPU waits for every
 	// frame, killing the pipelining that makes no-swap sum fast.
-	base, err := run(modelled, texCfg, sum)
+	base, err := run(dev, texCfg, sum)
 	if err != nil {
 		return nil, fmt.Errorf("ablation deferred: %w", err)
 	}
@@ -78,7 +76,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 2. Copy streaming: the DMA engine transferring tiles behind the
 	// renderer is what keeps framebuffer rendering viable for sgemm.
-	base, err = run(modelled, fbCfg, sgemm)
+	base, err = run(dev, fbCfg, sgemm)
 	if err != nil {
 		return nil, err
 	}
@@ -97,13 +95,13 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 3. Target invalidation (glClear): without it every pass reloads the
 	// previous frame's tiles from memory and carries a frame dependency.
-	base, err = run(modelled, texCfg, sum)
+	base, err = run(dev, texCfg, sum)
 	if err != nil {
 		return nil, err
 	}
 	noClear := texCfg
 	noClear.InvalidateTarget = new(bool) // false
-	abl, err = run(modelled, noClear, sum)
+	abl, err = run(dev, noClear, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +109,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 
 	// 4. Deferred-flush penalty: the bubble cost is what texture-rendered
 	// multi-pass sgemm pays per pass.
-	base, err = run(modelled, texCfg, sgemm)
+	base, err = run(dev, texCfg, sgemm)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +122,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 	add("dependency flush penalty (sgemm, texture)", base, abl)
 
 	// 5. Driver queue depth: restricting the CPU to lockstep submission.
-	base, err = run(modelled, texCfg, sum)
+	base, err = run(dev, texCfg, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +138,7 @@ func Ablation(ctx context.Context, dev *device.Profile, o Opts) (*AblationResult
 	// (binning/bookkeeping pressure shows up in stats; time shifts only
 	// via per-tile constants, so this row doubles as a regression check
 	// that tile size does not distort bandwidth accounting).
-	base, err = run(modelled, texCfg, sgemm)
+	base, err = run(dev, texCfg, sgemm)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gles2gpgpu/internal/core"
@@ -12,6 +13,7 @@ import (
 // timingOnlyFields reads each Config field keyOf resets, as the engine
 // sees it (a nil InvalidateTarget means true).
 var timingOnlyFields = map[string]func(core.Config) any{
+	"Device":              func(c core.Config) any { return c.Device },
 	"Swap":                func(c core.Config) any { return c.Swap },
 	"Target":              func(c core.Config) any { return c.Target },
 	"UseVBO":              func(c core.Config) any { return c.UseVBO },
@@ -150,13 +152,13 @@ func TestFigureCalibrationCounts(t *testing.T) {
 	if _, err := Fig3(ctx, Devices(), Opts{}); err != nil {
 		t.Fatal(err)
 	}
-	count("Fig3", 8, 16)
+	count("Fig3", 4, 16)
 	for call := 1; call <= 2; call++ {
 		r, err := Fig4b(ctx, Devices(), Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		count("Fig4b", 10, 20)
+		count("Fig4b", 5, 20)
 		for _, dev := range []string{"SGX", "VCore"} {
 			if got := r.CompileFail[dev]; !reflect.DeepEqual(got, []int{32, 64}) {
 				t.Errorf("Fig4b call %d: %s CompileFail = %v, want [32 64]", call, dev, got)
@@ -170,4 +172,34 @@ func TestFigureCalibrationCounts(t *testing.T) {
 		}
 	}
 	count("Measure", 2, 2)
+}
+
+// TestSharedCalibrationKeepsDeviceLimits shares one memo between a device
+// and a copy whose Limits reject the kernel. The copy's Measure reuses the
+// first device's calibration, since the key holds no device, yet still
+// fails: the paper-size timing build compiles under the copy's own Limits.
+func TestSharedCalibrationKeepsDeviceLimits(t *testing.T) {
+	var runs int
+	calibrated = func(core.Runner, calibration) { runs++ }
+	defer func() { calibrated = nil }()
+	ctx, o, spec := context.Background(), testOpts(), Spec{Workload: WSum}
+	memo := calibrations{}
+
+	dev := Devices()[0]
+	if _, err := measure(ctx, memo, bestPractices(dev), spec, o); err != nil {
+		t.Fatal(err)
+	}
+	strict := *dev
+	strict.Limits.MaxInstructions = 8
+	cfg := bestPractices(&strict)
+	if _, shared := memo[keyOf(cfg, spec, o.withDefaults())]; !shared || len(memo) != 1 {
+		t.Fatalf("the strict copy does not share the stored calibration (%d keys)", len(memo))
+	}
+	if _, err := measure(ctx, memo, cfg, spec, o); err == nil ||
+		!strings.Contains(err.Error(), "exceeds implementation limit: instructions") {
+		t.Errorf("strict copy: err = %v, want the instruction limit's error", err)
+	}
+	if runs != 1 {
+		t.Errorf("%d calibrations, want 1 (the strict copy reuses the first)", runs)
+	}
 }

@@ -250,9 +250,14 @@ type calibration struct {
 
 // calibKey identifies a functional calibration. It is the configuration
 // with every field reset that only shapes the timing model, never the
-// functional run: presentation, render target, vertex source, input
-// streaming, texture reuse and target invalidation. Every other field,
-// including any added later, stays in the key; Device compares by pointer.
+// functional run: the device, presentation, render target, vertex source,
+// input streaming, texture reuse and target invalidation. Every other
+// field, including any added later, stays in the key. Instruction costs
+// are the same on every device (shader.InstCost), so a device's only input
+// to the functional run is its Limits, which only decide whether the
+// kernel compiles; the paper-size timing build compiles under its own
+// device's Limits, so a device that rejects the kernel still fails when it
+// reuses another device's calibration.
 // TestCalibrationReuseMatchesFreshMeasure checks that configurations
 // sharing a key calibrate to byte-identical output and equal counts.
 type calibKey struct {
@@ -264,6 +269,7 @@ type calibKey struct {
 }
 
 func keyOf(cfg core.Config, spec Spec, o Opts) calibKey {
+	cfg.Device = nil
 	cfg.Swap, cfg.Target = 0, 0
 	cfg.UseVBO, cfg.VBOUsage = false, 0
 	cfg.StreamInputs = false

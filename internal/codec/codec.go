@@ -49,9 +49,9 @@ func (d Depth) String() string {
 
 // Encode packs a value v ∈ [0,1) into the leading channels of dst
 // (truncating, as the shader's floor-based encoder does). Values outside
-// [0,1) are clamped to the representable range.
+// [0,1) are clamped to the representable range; NaN encodes as 0.
 func (d Depth) Encode(v float64, dst []byte) {
-	if v < 0 {
+	if !(v >= 0) { // negative or NaN
 		v = 0
 	}
 	max := 1 - d.Quantum()

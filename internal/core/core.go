@@ -135,8 +135,8 @@ type Config struct {
 	// ProgramCache, when non-nil, shares compiled shaders across engines:
 	// a serving worker pool attaches one cache per device so each kernel
 	// compiles once per pool instead of once per engine. All engines
-	// sharing a cache must share one *device.Profile instance (see
-	// gles.SharedProgramCache).
+	// sharing a cache must use devices with equal Limits, the only device
+	// input left in a compiled program (see gles.SharedProgramCache).
 	ProgramCache *gles.SharedProgramCache
 
 	// TensorPoolBytes, when positive, enables the engine's tensor

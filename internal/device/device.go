@@ -38,7 +38,9 @@ func (u VBOUsage) String() string {
 }
 
 // Profile describes one simulated platform: GPU micro-architecture, memory
-// system, driver cost model and display properties.
+// system, driver cost model and display properties. Per-instruction cycle
+// costs are not here: they belong to the ISA model (shader.InstCost) and
+// are the same on every device.
 type Profile struct {
 	Name string
 
@@ -48,7 +50,6 @@ type Profile struct {
 	// per GPU clock across all cores (QPU count × issue width equivalent).
 	FragmentParallelism   float64
 	VertexCyclesPerVertex int64
-	CostModel             shader.CostModel
 	Limits                shader.Limits
 
 	// Tiling micro-architecture (paper Fig. 1).
@@ -137,13 +138,11 @@ func (p *Profile) VertexTime(n int) timing.Time {
 //   - Expensive texture allocation: texture reuse pays off (+15%, Fig. 5a).
 //   - Large 64×64 tiles.
 func VideoCoreIV() *Profile {
-	cm := shader.DefaultCostModel()
 	return &Profile{
 		Name:                  "VideoCore IV (Raspberry Pi)",
 		GPUClockHz:            250e6,
 		FragmentParallelism:   640, // effective lanes × pipelining (calibrated)
 		VertexCyclesPerVertex: 80,
-		CostModel:             cm,
 		Limits: shader.Limits{
 			MaxInstructions:    512,
 			MaxTexInstructions: 40,
@@ -200,13 +199,11 @@ func VideoCoreIV() *Profile {
 //   - Cheap texture allocation: input-texture reuse buys nothing and the
 //     write-after-read wait makes it slightly slower (Fig. 5a: −2…−7%).
 func PowerVRSGX545() *Profile {
-	cm := shader.DefaultCostModel()
 	return &Profile{
 		Name:                  "PowerVR SGX 545",
 		GPUClockHz:            200e6,
 		FragmentParallelism:   512, // USSE2 pipes × pipelining (calibrated)
 		VertexCyclesPerVertex: 40,
-		CostModel:             cm,
 		Limits: shader.Limits{
 			MaxInstructions:    512,
 			MaxTexInstructions: 40,
@@ -267,13 +264,11 @@ func Names() []string { return []string{"vc4", "sgx", "generic"} }
 // Generic returns a fast, permissive profile for unit tests: negligible
 // driver costs, no vsync gating, huge limits.
 func Generic() *Profile {
-	cm := shader.DefaultCostModel()
 	return &Profile{
 		Name:                  "generic-test",
 		GPUClockHz:            1e9,
 		FragmentParallelism:   1024,
 		VertexCyclesPerVertex: 10,
-		CostModel:             cm,
 		Limits:                shader.DefaultLimits(),
 		TileW:                 32, TileH: 32,
 		Deferred:               true,

@@ -3,7 +3,6 @@ package device
 import (
 	"testing"
 
-	"gles2gpgpu/internal/shader"
 	"gles2gpgpu/internal/timing"
 )
 
@@ -115,11 +114,5 @@ func TestPaperCalibrationAnchors(t *testing.T) {
 	// VideoCore's ARM11-class driver CPU is far slower per draw.
 	if vc.DrawSubmitCost < 4*sgx.DrawSubmitCost {
 		t.Errorf("driver CPU costs: vc=%v sgx=%v", vc.DrawSubmitCost, sgx.DrawSubmitCost)
-	}
-	// Cost models favour MAD fusion and mul24 on both devices.
-	for _, p := range []*Profile{vc, sgx} {
-		if p.CostModel.Costs[shader.OpMUL24] >= p.CostModel.Costs[shader.OpMUL] {
-			t.Errorf("%s: mul24 not cheaper than mul", p.Name)
-		}
 	}
 }

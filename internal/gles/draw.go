@@ -180,10 +180,6 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	fsEnv.Samplers = texFns
 	fsEnv.Sample = envSampler(samplers)
 
-	cost := &c.prof.CostModel
-	execVS := shader.Executor(vp, cost)
-	execFS := shader.Executor(fp, cost)
-
 	// Fast-path selection: a fragment program with a lane form (one
 	// engine for straight-line and forward-branching programs) shades its
 	// triangles in lane batches over tiles (tiled.go). Every other draw —
@@ -191,7 +187,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	// below, the oracle the fast path is tested against. Draws without a
 	// lane form are counted (glslint's lane-fallback finding says why; the
 	// daemon exports the count per device).
-	lf := c.laneFormFor(p)
+	lf := laneFormFor(p)
 	if lf == nil {
 		c.laneFallbackDraws++
 	}
@@ -221,7 +217,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 			}
 			vsEnv.Inputs[in.Reg] = shader.Vec4(val)
 		}
-		if err := execVS(vsEnv); err != nil {
+		if err := shader.Run(vp, vsEnv); err != nil {
 			c.setErr(INVALID_OPERATION)
 			return drawStats{}
 		}
@@ -250,7 +246,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	}
 
 	if mode == POINTS {
-		return c.rasterizePoints(p, tgt, verts, pointSizes, execFS)
+		return c.rasterizePoints(p, tgt, verts, pointSizes)
 	}
 
 	// Primitive assembly.
@@ -319,7 +315,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 			if fcReg >= 0 {
 				fsEnv.Inputs[fcReg] = fc
 			}
-			if err := execFS(fsEnv); err != nil {
+			if err := shader.Run(fp, fsEnv); err != nil {
 				return
 			}
 			st.fragments++
@@ -341,7 +337,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 // primitive on ES2-class hardware. Points always shade on the
 // per-fragment interpreter in submission order: overlapping points (the
 // scatter-add histogram idiom) blend in exactly that order.
-func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.Vertex, sizes []float32, execFS func(*shader.Env) error) drawStats {
+func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.Vertex, sizes []float32) drawStats {
 	fp := p.fsProg
 	fsEnv := c.fsEnv
 	vpX, vpY, vpW, vpH := c.viewport[0], c.viewport[1], c.viewport[2], c.viewport[3]
@@ -396,7 +392,7 @@ func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.V
 						0, 0,
 					}
 				}
-				if err := execFS(fsEnv); err != nil {
+				if err := shader.Run(fp, fsEnv); err != nil {
 					return st
 				}
 				st.fragments++

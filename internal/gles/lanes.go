@@ -44,14 +44,14 @@ type laneForm struct {
 
 // laneFormFor returns the lane form p's draws shade on, or nil when p has
 // none and its draws run on the per-fragment interpreter. The form is
-// built by the first draw that shades p, priced by the context's cost
-// model, and kept until p is relinked: timing-only engines link programs
-// they never shade, so nothing is built at link time.
-func (c *Context) laneFormFor(p *Program) *laneForm {
+// built by the first draw that shades p and kept until p is relinked:
+// timing-only engines link programs they never shade, so nothing is built
+// at link time.
+func laneFormFor(p *Program) *laneForm {
 	if p.lanes == nil {
 		p.lanes = &laneForm{}
 		if pc, _ := shader.LaneFallbackAt(p.fsProg); pc < 0 {
-			p.lanes.lc = shader.CompileLanes(p.fsProg, &c.prof.CostModel, shader.LaneWidth)
+			p.lanes.lc = shader.CompileLanes(p.fsProg, shader.LaneWidth)
 			p.lanes.pool = shader.NewLaneEnvPool(p.fsProg, shader.LaneWidth)
 		}
 	}

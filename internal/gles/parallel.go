@@ -47,9 +47,6 @@ func (c *Context) SetWorkers(n int) {
 	}
 }
 
-// Workers returns the configured fragment-shading worker count.
-func (c *Context) Workers() int { return c.workers }
-
 // workerPool is a fixed set of goroutines draining a task channel. Draws
 // never submit nested tasks, so feeding a batch and waiting cannot
 // deadlock.

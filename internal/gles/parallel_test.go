@@ -102,7 +102,7 @@ void main() {
 	if gl.programs[p].fsProg.OutputsAlwaysWritten {
 		t.Fatal("conditional gl_FragColor write wrongly proven")
 	}
-	if gl.laneFormFor(gl.programs[p]) != nil {
+	if laneFormFor(gl.programs[p]) != nil {
 		t.Error("fast-path gate accepted a conditionally-writing program")
 	}
 }

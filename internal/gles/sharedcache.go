@@ -9,9 +9,11 @@ import "sync"
 // shader.Program) between those contexts so each distinct source compiles
 // once per pool rather than once per engine.
 //
-// Sharing compiled Programs across contexts is safe when all sharing
-// contexts use the same device limits, so that compile-time limit checks
-// agree; the serve layer shares one *device.Profile per pool.
+// Sharing compiled Programs across contexts needs equal device Limits
+// across the sharing contexts: Limits are the only device input left in a
+// compiled program (instruction costs are the same on every device), so
+// equal Limits make the compile-time limit checks agree. The serve layer
+// shares one *device.Profile per pool.
 //
 // All methods are safe for concurrent use.
 type SharedProgramCache struct {
@@ -53,13 +55,6 @@ func (s *SharedProgramCache) Stats() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
-}
-
-// Len reports the number of cached compilations.
-func (s *SharedProgramCache) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
 }
 
 // SetSharedProgramCache attaches a cross-context compilation cache,

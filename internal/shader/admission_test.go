@@ -35,8 +35,7 @@ func expectAdmitted(t *testing.T, name string, p *shader.Program) {
 // otherwise with a liveness reason.
 func expectAdmission(t *testing.T, name string, p *shader.Program) {
 	t.Helper()
-	cost := shader.DefaultCostModel()
-	if shader.CompileLanes(p, &cost, shader.LaneWidth) == nil {
+	if shader.CompileLanes(p, shader.LaneWidth) == nil {
 		t.Errorf("%s: compiled program does not lane-compile:\n%s", name, p.Disassemble())
 	}
 	if p.WritesBeforeReads && p.OutputsAlwaysWritten {

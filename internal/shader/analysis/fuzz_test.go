@@ -80,7 +80,6 @@ func fuzzSample(idx int, u, v float32) shader.Vec4 {
 func expectLaneParity(t *testing.T, p *shader.Program) {
 	t.Helper()
 	const w = shader.LaneWidth
-	cost := shader.DefaultCostModel()
 	rng := rand.New(rand.NewSource(7))
 	randVec := func() shader.Vec4 {
 		return shader.Vec4{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
@@ -105,7 +104,7 @@ func expectLaneParity(t *testing.T, p *shader.Program) {
 		env.Sample = fuzzSample
 		copy(env.Uniforms, uni)
 		copy(env.Inputs, inputs[l])
-		if err := shader.Run(p, env, &cost); err != nil {
+		if err := shader.Run(p, env); err != nil {
 			t.Fatalf("interpreter lane %d: %v\n%s", l, err, p.Disassemble())
 		}
 		wantOut[l] = env.Outputs
@@ -114,7 +113,7 @@ func expectLaneParity(t *testing.T, p *shader.Program) {
 		wantTex += env.TexFetches
 	}
 
-	lc := shader.CompileLanes(p, &cost, w)
+	lc := shader.CompileLanes(p, w)
 	if lc == nil {
 		t.Fatalf("compiled program did not lane-compile:\n%s", p.Disassemble())
 	}

@@ -58,10 +58,6 @@ func (iv Interval) Bounded() bool {
 
 func (iv Interval) empty() bool { return iv.Lo > iv.Hi }
 
-func (iv Interval) isTop() bool {
-	return iv.NaN && math.IsInf(iv.Lo, -1) && math.IsInf(iv.Hi, 1)
-}
-
 func joinInterval(a, b Interval) Interval {
 	if a.empty() {
 		b.NaN = b.NaN || a.NaN

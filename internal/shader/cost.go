@@ -1,8 +1,9 @@
 package shader
 
-// CostModel assigns a cycle cost to each IR opcode. Device profiles in
-// internal/device provide calibrated instances; the zero value is unusable,
-// use DefaultCostModel as a base.
+// cycles is the cycle cost of each IR opcode. Instruction cost belongs to
+// the ISA model, not to a device: the paper's two GPUs differ in clock,
+// fragment parallelism, tiling and driver costs (device.Profile), never in
+// what one instruction costs relative to another.
 //
 // The relative costs encode the micro-architectural facts the paper's
 // kernel-code optimisations exploit:
@@ -15,61 +16,49 @@ package shader
 //     multiplier is natively 24-bit; fp32 emulation costs extra).
 //   - Transcendentals run on a special-function unit and cost several
 //     cycles.
-type CostModel struct {
-	Costs [opMax]int32
-	// TexBase is the cost of issuing a texture fetch, excluding memory
-	// latency (which the pipeline model accounts as bandwidth).
-	TexBase int32
-}
-
-// DefaultCostModel returns a generic embedded-GPU cost model.
-func DefaultCostModel() CostModel {
-	var m CostModel
-	for op := Op(0); op < opMax; op++ {
-		m.Costs[op] = 1
+//   - TEX is the cost of issuing a texture fetch, excluding memory latency
+//     (which the pipeline model accounts as bandwidth).
+var cycles = func() (t [opMax]int64) {
+	for op := range t {
+		t[op] = 1
 	}
-	m.Costs[OpNOP] = 0
-	m.Costs[OpRET] = 0
-	m.Costs[OpMUL] = 2   // full fp32 multiply on a 24-bit multiplier array
-	m.Costs[OpMAD] = 2   // fused: same cost as the multiply alone
-	m.Costs[OpMUL24] = 1 // native 24-bit multiply
-	m.Costs[OpDIV] = 8
-	m.Costs[OpRCP] = 6
-	m.Costs[OpRSQ] = 6
-	m.Costs[OpSQRT] = 8
-	m.Costs[OpEX2] = 6
-	m.Costs[OpLG2] = 6
-	m.Costs[OpEXP] = 8
-	m.Costs[OpLOG] = 8
-	m.Costs[OpPOW] = 12
-	m.Costs[OpSIN] = 8
-	m.Costs[OpCOS] = 8
-	m.Costs[OpTAN] = 16
-	m.Costs[OpASIN] = 16
-	m.Costs[OpACOS] = 16
-	m.Costs[OpATAN] = 16
-	m.Costs[OpATAN2] = 20
-	m.TexBase = 4
-	return m
-}
+	t[OpNOP] = 0
+	t[OpRET] = 0
+	t[OpMUL] = 2   // full fp32 multiply on a 24-bit multiplier array
+	t[OpMAD] = 2   // fused: same cost as the multiply alone
+	t[OpMUL24] = 1 // native 24-bit multiply
+	t[OpDIV] = 8
+	t[OpRCP] = 6
+	t[OpRSQ] = 6
+	t[OpSQRT] = 8
+	t[OpEX2] = 6
+	t[OpLG2] = 6
+	t[OpEXP] = 8
+	t[OpLOG] = 8
+	t[OpPOW] = 12
+	t[OpSIN] = 8
+	t[OpCOS] = 8
+	t[OpTAN] = 16
+	t[OpASIN] = 16
+	t[OpACOS] = 16
+	t[OpATAN] = 16
+	t[OpATAN2] = 20
+	t[OpTEX] = 4
+	return t
+}()
 
 // InstCost returns the cycle cost of one instruction.
-func (m *CostModel) InstCost(in *Inst) int64 {
-	if in.Op == OpTEX {
-		return int64(m.TexBase)
-	}
-	return int64(m.Costs[in.Op])
-}
+func InstCost(in *Inst) int64 { return cycles[in.Op] }
 
-// StaticCycles estimates the per-invocation cycle cost of a program by
-// summing instruction costs, assuming straight-line execution (branches
-// counted once). For the fully-unrolled kernels this repository generates,
-// the estimate is exact; the VM additionally reports measured cycles for
+// StaticCycles estimates the per-invocation cycle cost of p by summing
+// instruction costs, assuming straight-line execution (branches counted
+// once). For the fully-unrolled kernels this repository generates, the
+// estimate is exact; the VM additionally reports measured cycles for
 // programs with control flow.
-func (m *CostModel) StaticCycles(p *Program) int64 {
+func (p *Program) StaticCycles() int64 {
 	var total int64
 	for i := range p.Insts {
-		total += m.InstCost(&p.Insts[i])
+		total += InstCost(&p.Insts[i])
 	}
 	return total
 }

@@ -74,7 +74,6 @@ func (g *exprGen) gen(depth int) (string, func(x, y, z float64) float64) {
 
 func TestDifferentialExpressionFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170327)) // the paper's conference date
-	cost := DefaultCostModel()
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
 		g := &exprGen{rng: rng}
@@ -110,7 +109,7 @@ void main(){ gl_FragColor = vec4(` + expr + `); }`
 			setU("x", x)
 			setU("y", y)
 			setU("z", z)
-			if err := Run(p, env, &cost); err != nil {
+			if err := Run(p, env); err != nil {
 				t.Fatalf("trial %d: run: %v\n%s", trial, err, expr)
 			}
 			want := ref(x, y, z)
@@ -128,7 +127,6 @@ void main(){ gl_FragColor = vec4(` + expr + `); }`
 // accumulation pattern every GPGPU kernel in the repository uses.
 func TestDifferentialLoopFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cost := DefaultCostModel()
 	for trial := 0; trial < 20; trial++ {
 		trip := rng.Intn(12) + 1
 		scale := float64(rng.Intn(8)+1) / 8.0
@@ -157,7 +155,7 @@ void main(){
 		out, _ := p.LookupOutput("gl_FragColor")
 		x := rng.Float64()
 		env.Uniforms[u.Reg] = Vec4{float32(x)}
-		if err := Run(p, env, &cost); err != nil {
+		if err := Run(p, env); err != nil {
 			t.Fatal(err)
 		}
 		var want float64

@@ -222,8 +222,8 @@ type laneSrc struct {
 	offs [4]int
 }
 
-// LaneCompiled is the lane-batched compiled form of one Program under one
-// CostModel at one width. Immutable after compilation: any number of
+// LaneCompiled is the lane-batched compiled form of one Program at one
+// width. Immutable after compilation: any number of
 // goroutines may Run it concurrently with distinct LaneEnvs.
 type LaneCompiled struct {
 	width int
@@ -425,12 +425,12 @@ func laneTerminates(insts []Inst, i int) bool {
 	return false
 }
 
-// CompileLanes splits p into segments of lane closures priced under cost,
+// CompileLanes splits p into segments of lane closures priced by InstCost,
 // for batches of the given width. It returns nil when p branches backward
 // or width is outside [2, MaxLaneWidth] — the executor's own
 // preconditions. Whether a draw may use the result is LaneFallbackAt's
 // decision, which adds the liveness proofs.
-func CompileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
+func CompileLanes(p *Program, width int) *LaneCompiled {
 	if width < 2 || width > MaxLaneWidth || backwardBranch(p) >= 0 {
 		return nil
 	}
@@ -466,7 +466,7 @@ func CompileLanes(p *Program, cost *CostModel, width int) *LaneCompiled {
 		if lead[i] {
 			clear(seen)
 		}
-		s.cost += cost.InstCost(in)
+		s.cost += InstCost(in)
 		if laneTerminates(insts, i) {
 			switch in.Op {
 			case OpBR, OpBRZ:

@@ -23,9 +23,9 @@ import (
 // and as one lane batch, then compares per-lane outputs, Discarded flags
 // and summed counters. uni is broadcast to all lanes, inputs[lane] feeds
 // lane's input bank. n may be less than width (partial batch).
-func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
+func runLaneDiff(t *testing.T, p *Program, width, n int, uni []Vec4, inputs [][]Vec4) {
 	t.Helper()
-	lc := CompileLanes(p, cost, width)
+	lc := CompileLanes(p, width)
 	if lc == nil {
 		t.Fatalf("forward-branching program did not lane-compile at width %d:\n%s", width, p.Disassemble())
 	}
@@ -41,7 +41,7 @@ func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []
 		e.Sample = diffSampler
 		copy(e.Uniforms, uni)
 		copy(e.Inputs, inputs[lane])
-		if err := Run(p, e, cost); err != nil {
+		if err := Run(p, e); err != nil {
 			t.Fatalf("interp lane %d: %v", lane, err)
 		}
 		wantOut = append(wantOut, append([]Vec4(nil), e.Outputs...))
@@ -111,7 +111,6 @@ func fuzzInputs(rng *rand.Rand, p *Program, n int) (uni []Vec4, inputs [][]Vec4)
 // reads) at random widths with random live-lane counts, including partial
 // batches. Every lane must match a serial interpreter run bitwise.
 func TestDifferentialLaneFuzz(t *testing.T) {
-	cost := DefaultCostModel()
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProgram(rng, false) // straight-line: one segment
@@ -119,7 +118,7 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 		for probe := 0; probe < 2; probe++ {
 			n := 1 + rng.Intn(width)
 			uni, inputs := fuzzInputs(rng, p, n)
-			runLaneDiff(t, p, &cost, width, n, uni, inputs)
+			runLaneDiff(t, p, width, n, uni, inputs)
 		}
 		return true
 	}
@@ -138,7 +137,6 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 // live-lane counts. Every lane must match a serial interpreter
 // run bitwise, including the Discarded flag and per-lane-summed counters.
 func TestDifferentialMaskedLaneFuzz(t *testing.T) {
-	cost := DefaultCostModel()
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProgram(rng, true) // forward branches, KIL, early RET
@@ -146,7 +144,7 @@ func TestDifferentialMaskedLaneFuzz(t *testing.T) {
 		for probe := 0; probe < 2; probe++ {
 			n := 1 + rng.Intn(width)
 			uni, inputs := fuzzInputs(rng, p, n)
-			runLaneDiff(t, p, &cost, width, n, uni, inputs)
+			runLaneDiff(t, p, width, n, uni, inputs)
 		}
 		return true
 	}
@@ -164,7 +162,6 @@ func TestDifferentialMaskedLaneFuzz(t *testing.T) {
 // lane-eligible, jacobi — branchy, so it diverges within a batch —
 // included.
 func runKernelSuite(t *testing.T, widths []int, ns func(width int) []int) {
-	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(20260808))
 	for name, p := range kernelSuite(t) {
 		p := p
@@ -183,7 +180,7 @@ func runKernelSuite(t *testing.T, widths []int, ns func(width int) []int) {
 						}
 						inputs = append(inputs, in)
 					}
-					runLaneDiff(t, p, &cost, width, n, uni, inputs)
+					runLaneDiff(t, p, width, n, uni, inputs)
 				}
 			}
 		})
@@ -208,7 +205,6 @@ func TestDifferentialMaskedKernelSuite(t *testing.T) {
 // min32/max32 special-case order, signed-zero selection, NaN collapse)
 // with different special values in different lanes of one batch.
 func TestLaneSpecialValues(t *testing.T) {
-	cost := DefaultCostModel()
 	p := &Program{
 		NumTemps: 2, NumInputs: 2, NumOutputs: 2, NumUniform: 1,
 		Insts: []Inst{
@@ -232,20 +228,19 @@ func TestLaneSpecialValues(t *testing.T) {
 	}
 	uni := []Vec4{{0, 0, 0, 0}}
 	for _, width := range []int{4, 8} {
-		runLaneDiff(t, p, &cost, width, len(inputs), uni, inputs)
+		runLaneDiff(t, p, width, len(inputs), uni, inputs)
 	}
 }
 
 // TestLanePartialBatch covers live-lane counts that do not divide the
 // width (the tail batch of a tile walk): every n in [1, width].
 func TestLanePartialBatch(t *testing.T) {
-	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(7))
 	p := randomProgram(rng, false)
 	const width = 8
 	for n := 1; n <= width; n++ {
 		uni, inputs := fuzzInputs(rng, p, n)
-		runLaneDiff(t, p, &cost, width, n, uni, inputs)
+		runLaneDiff(t, p, width, n, uni, inputs)
 	}
 }
 
@@ -254,7 +249,6 @@ func TestLanePartialBatch(t *testing.T) {
 // case Run charges statically, with no resume index or active scan), and
 // both branchy kernels, jacobi and jacobi8, to several segments.
 func TestLaneSegments(t *testing.T) {
-	cost := DefaultCostModel()
 	progs := kernelSuite(t)
 	for _, o := range []struct {
 		tag  string
@@ -269,7 +263,7 @@ func TestLaneSegments(t *testing.T) {
 		}
 	}
 	for name, p := range progs {
-		lc := CompileLanes(p, &cost, LaneWidth)
+		lc := CompileLanes(p, LaneWidth)
 		if lc == nil {
 			t.Fatalf("%s: does not lane-compile", name)
 		}
@@ -291,7 +285,6 @@ func TestLaneSegments(t *testing.T) {
 // early-returns — the branchy lane engine's whole feature matrix in one
 // batch.
 func TestMaskedDivergencePinned(t *testing.T) {
-	cost := DefaultCostModel()
 	p := &Program{
 		NumTemps: 2, NumInputs: 2, NumOutputs: 1, NumUniform: 1,
 		Insts: []Inst{
@@ -318,7 +311,7 @@ func TestMaskedDivergencePinned(t *testing.T) {
 	}
 	uni := []Vec4{{0.25, 0.5, 0.75, 1}}
 	for _, width := range []int{6, 8, 16} {
-		runLaneDiff(t, p, &cost, width, len(inputs), uni, inputs)
+		runLaneDiff(t, p, width, len(inputs), uni, inputs)
 	}
 }
 
@@ -336,12 +329,11 @@ type eligibilityCase struct {
 // proofs: LaneFallbackAt then judges its branches alone.
 func checkLaneEligibility(t *testing.T, cases []eligibilityCase) {
 	t.Helper()
-	cost := DefaultCostModel()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts,
 				WritesBeforeReads: true, OutputsAlwaysWritten: true}
-			lc := CompileLanes(p, &cost, 8)
+			lc := CompileLanes(p, 8)
 			_, reason := LaneFallbackAt(p)
 			if tc.eligible {
 				if lc == nil {
@@ -397,7 +389,6 @@ func TestMaskedIneligible(t *testing.T) {
 // CompileLanes and against the interpreter, so an opcode added without a
 // lane body fails here rather than in a draw.
 func TestLaneOpcodeCoverage(t *testing.T) {
-	cost := DefaultCostModel()
 	inputs := [][]Vec4{{{0.5, -2, 3, 0}}, {{0, 1, -0.25, 8}}, {{-1.5, 0.75, 0, 2}}}
 	for op := Op(0); op < opMax; op++ {
 		t.Run(op.String(), func(t *testing.T) {
@@ -410,7 +401,7 @@ func TestLaneOpcodeCoverage(t *testing.T) {
 					{Op: OpRET},
 				},
 			}
-			runLaneDiff(t, p, &cost, 4, len(inputs), []Vec4{{0.25, 2, -1, 0.5}}, inputs)
+			runLaneDiff(t, p, 4, len(inputs), []Vec4{{0.25, 2, -1, 0.5}}, inputs)
 		})
 	}
 }
@@ -419,7 +410,6 @@ func TestLaneOpcodeCoverage(t *testing.T) {
 // destination register is also a source must see pre-instruction values
 // for every component (the interpreter reads sources into locals first).
 func TestLaneDstAliasing(t *testing.T) {
-	cost := DefaultCostModel()
 	swap := Src{File: FileTemp, Reg: 0, Swiz: [4]uint8{1, 0, 3, 2}}
 	p := &Program{
 		NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1,
@@ -439,7 +429,7 @@ func TestLaneDstAliasing(t *testing.T) {
 		{{-1, 0.5, -0.25, 8}},
 		{{0, float32(math.Copysign(0, -1)), 1, -1}},
 	}
-	runLaneDiff(t, p, &cost, 4, len(inputs), []Vec4{{}}, inputs)
+	runLaneDiff(t, p, 4, len(inputs), []Vec4{{}}, inputs)
 }
 
 // TestLaneEnvPoolReuse pins pooling behaviour: Get returns a previously
@@ -462,7 +452,6 @@ func TestLaneEnvPoolReuse(t *testing.T) {
 // SetInput gather, Run (including TEX fetches), Output scatter — performs
 // zero heap allocations once the compiled form and environment exist.
 func TestLaneRunAllocs(t *testing.T) {
-	cost := DefaultCostModel()
 	p := &Program{
 		NumTemps: 2, NumInputs: 1, NumOutputs: 1, NumUniform: 1,
 		Insts: []Inst{
@@ -473,7 +462,7 @@ func TestLaneRunAllocs(t *testing.T) {
 		},
 	}
 	const width = 8
-	lc := CompileLanes(p, &cost, width)
+	lc := CompileLanes(p, width)
 	if lc == nil {
 		t.Fatal("program must lane-compile")
 	}
@@ -499,7 +488,6 @@ func TestLaneRunAllocs(t *testing.T) {
 // batch once compiled: the lanes diverge inside every batch, so the
 // active-lane scan and the write-set save reuse LaneEnv state.
 func TestMaskedRunAllocs(t *testing.T) {
-	cost := DefaultCostModel()
 	p := &Program{
 		NumTemps: 2, NumInputs: 1, NumOutputs: 1, NumUniform: 1,
 		Insts: []Inst{
@@ -512,7 +500,7 @@ func TestMaskedRunAllocs(t *testing.T) {
 		},
 	}
 	const width = 8
-	lc := CompileLanes(p, &cost, width)
+	lc := CompileLanes(p, width)
 	if lc == nil {
 		t.Fatal("program must lane-compile")
 	}

@@ -23,8 +23,7 @@ void main() {
 	}
 	env := NewEnv(p)
 	env.Uniforms[0] = Vec4{0.9, 0, 0, 0}
-	cost := DefaultCostModel()
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Outputs[0] == (Vec4{}) {
@@ -41,7 +40,7 @@ void main() {
 		}
 	}
 	env.Uniforms[0] = Vec4{0.1, 0, 0, 0}
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Outputs[0] != (Vec4{}) {
@@ -68,8 +67,7 @@ void main() { gl_FragColor = vec4(x); }`)
 		t.Error("Reset zeroed outputs despite the always-written proof")
 	}
 	env.Uniforms[0] = Vec4{0.25, 0, 0, 0}
-	cost := DefaultCostModel()
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Outputs[0] != (Vec4{0.25, 0.25, 0.25, 0.25}) {

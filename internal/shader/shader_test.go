@@ -51,8 +51,7 @@ func runFrag(t *testing.T, p *Program, uniforms map[string][]float32, inputs map
 		copy(v[:], vals)
 		env.Inputs[in.Reg] = v
 	}
-	cost := DefaultCostModel()
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out, ok := p.LookupOutput("gl_FragColor")
@@ -421,10 +420,9 @@ void main(){
 	gl_FragColor = vec4(1.0);
 }`)
 	env := NewEnv(p)
-	cost := DefaultCostModel()
 	u, _ := p.LookupUniform("x")
 	env.Uniforms[u.Reg] = Vec4{0.9}
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if !env.Discarded {
@@ -432,7 +430,7 @@ void main(){
 	}
 	env.Reset()
 	env.Uniforms[u.Reg] = Vec4{0.1}
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Discarded {
@@ -460,7 +458,6 @@ void main(){
 		t.Fatal(err)
 	}
 	env := NewEnv(p)
-	cost := DefaultCostModel()
 	u, _ := p.LookupUniform("mvp")
 	// Identity scaled by 2.
 	for i := 0; i < 4; i++ {
@@ -470,7 +467,7 @@ void main(){
 	}
 	in, _ := p.LookupInput("a_pos")
 	env.Inputs[in.Reg] = Vec4{1, 2, 3, 4}
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	pos, _ := p.LookupOutput("gl_Position")
@@ -559,25 +556,23 @@ void main(){
 	float d = dot(s, b);
 	gl_FragColor = vec4(clamp(d, 0.0, 1.0));
 }`)
-	cost := DefaultCostModel()
 	env := NewEnv(p)
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Cycles != cost.StaticCycles(p) {
-		t.Errorf("VM cycles %d != static %d", env.Cycles, cost.StaticCycles(p))
+	if env.Cycles != p.StaticCycles() {
+		t.Errorf("VM cycles %d != static %d", env.Cycles, p.StaticCycles())
 	}
 }
 
 func TestCyclesFavorMul24AndMAD(t *testing.T) {
-	cost := DefaultCostModel()
 	run := func(body string, extension bool) int64 {
 		src := hdr + "uniform float a;\nuniform float b;\nuniform float c;\nvoid main(){ gl_FragColor = vec4(" + body + "); }"
 		if extension {
 			src = "#extension GL_EXT_mul24 : enable\n" + src
 		}
 		p := compileFrag(t, src)
-		return cost.StaticCycles(p)
+		return p.StaticCycles()
 	}
 	full := run("a*b", false)
 	m24 := run("mul24(a, b)", true)
@@ -612,7 +607,6 @@ uniform float a;
 uniform float b;
 uniform float c;
 void main(){ gl_FragColor = vec4(a*b + c); }`)
-	cost := DefaultCostModel()
 	env := NewEnv(p)
 	ua, _ := p.LookupUniform("a")
 	ub, _ := p.LookupUniform("b")
@@ -626,7 +620,7 @@ void main(){ gl_FragColor = vec4(a*b + c); }`)
 		env.Uniforms[ua.Reg] = Vec4{a}
 		env.Uniforms[ub.Reg] = Vec4{b}
 		env.Uniforms[uc.Reg] = Vec4{c}
-		if err := Run(p, env, &cost); err != nil {
+		if err := Run(p, env); err != nil {
 			return false
 		}
 		want := a*b + c

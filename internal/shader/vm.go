@@ -114,9 +114,9 @@ func quant24(x float32) float32 {
 // unrolled so this is only a runaway-branch backstop.
 const maxSteps = 1 << 22
 
-// Run executes p in env, accounting cycles with cost. The env must have
+// Run executes p in env, accounting cycles by InstCost. The env must have
 // been created by NewEnv(p) (or have at least as many registers).
-func Run(p *Program, env *Env, cost *CostModel) error {
+func Run(p *Program, env *Env) error {
 	insts := p.Insts
 	env.consts = p.Consts
 	steps := 0
@@ -126,7 +126,7 @@ func Run(p *Program, env *Env, cost *CostModel) error {
 			return &ErrVM{PC: pc, Msg: "instruction budget exceeded (runaway branch?)"}
 		}
 		in := &insts[pc]
-		env.Cycles += cost.InstCost(in)
+		env.Cycles += InstCost(in)
 		switch in.Op {
 		case OpNOP:
 		case OpRET:
@@ -215,12 +215,6 @@ func Run(p *Program, env *Env, cost *CostModel) error {
 	return nil
 }
 
-// Executor returns the reference-interpreter function for p under cost.
-// The returned function is safe for concurrent use with distinct Envs.
-func Executor(p *Program, cost *CostModel) func(*Env) error {
-	return func(e *Env) error { return Run(p, e, cost) }
-}
-
 // EvalInst executes one data instruction on explicit operand values using
 // the reference interpreter and returns the (pre-mask) result vector. The
 // operands a, b, c are the base register values the instruction's A, B, C
@@ -242,9 +236,8 @@ func EvalInst(in Inst, a, b, c Vec4) (Vec4, bool) {
 	inst.C.File, inst.C.Reg = FileTemp, 2
 	inst.Dst = Dst{File: FileTemp, Reg: 3, Mask: MaskAll}
 	p := Program{Insts: []Inst{inst}, NumTemps: 4}
-	cost := DefaultCostModel()
 	env := Env{Temps: []Vec4{a, b, c, {}}}
-	if err := Run(&p, &env, &cost); err != nil {
+	if err := Run(&p, &env); err != nil {
 		return Vec4{}, false
 	}
 	return env.Temps[3], true

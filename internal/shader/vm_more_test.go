@@ -53,7 +53,6 @@ func TestBuiltinNumericEquivalence(t *testing.T) {
 uniform float x;
 uniform float y;
 void main(){ gl_FragColor = vec4(`+c.expr+`); }`)
-		cost := DefaultCostModel()
 		env := NewEnv(p)
 		ux, _ := p.LookupUniform("x")
 		out, _ := p.LookupOutput("gl_FragColor")
@@ -67,7 +66,7 @@ void main(){ gl_FragColor = vec4(`+c.expr+`); }`)
 			if uy.Regs > 0 {
 				env.Uniforms[uy.Reg] = Vec4{float32(in[1])}
 			}
-			if err := Run(p, env, &cost); err != nil {
+			if err := Run(p, env); err != nil {
 				t.Fatalf("%s: %v", c.expr, err)
 			}
 			want := c.ref(in[0], in[1])
@@ -151,8 +150,7 @@ func TestVMRunawayBranchProtection(t *testing.T) {
 		Insts: []Inst{{Op: OpBR, Target: 0}},
 	}
 	env := NewEnv(p)
-	cost := DefaultCostModel()
-	err := Run(p, env, &cost)
+	err := Run(p, env)
 	if err == nil {
 		t.Fatal("infinite branch loop not detected")
 	}
@@ -175,8 +173,7 @@ func TestVMWriteToReadOnlyFileIgnored(t *testing.T) {
 	}
 	env := NewEnv(p)
 	env.Uniforms[0] = Vec4{1, 2, 3, 4}
-	cost := DefaultCostModel()
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Uniforms[0] != (Vec4{1, 2, 3, 4}) {
@@ -197,8 +194,7 @@ func TestSwizzleAndNegationSemantics(t *testing.T) {
 		},
 	}
 	env := NewEnv(p)
-	cost := DefaultCostModel()
-	if err := Run(p, env, &cost); err != nil {
+	if err := Run(p, env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Outputs[0] != (Vec4{-4, -3, -2, -1}) {
@@ -226,13 +222,12 @@ void main(){
 	gl_FragColor = vec4(acc);
 }`)
 	env := NewEnv(p)
-	cost := DefaultCostModel()
 	u, _ := p.LookupUniform("x")
 	out, _ := p.LookupOutput("gl_FragColor")
 	for i := 1; i <= 3; i++ {
 		env.Reset()
 		env.Uniforms[u.Reg] = Vec4{float32(i)}
-		if err := Run(p, env, &cost); err != nil {
+		if err := Run(p, env); err != nil {
 			t.Fatal(err)
 		}
 		if env.Outputs[out.Reg][0] != float32(i) {
@@ -334,19 +329,26 @@ func TestSinglePassSgemmExceedsDeviceLimits(t *testing.T) {
 	}
 }
 
-func TestCostModelTranscendentalsCostMore(t *testing.T) {
-	cm := DefaultCostModel()
-	cheap := cm.Costs[OpADD]
+// TestCycleTableCosts pins the cost facts the paper's kernel-code
+// optimisations rest on, on the one table every device shares:
+// transcendentals cost more than an add, mul24 is cheaper than mul, and MAD
+// costs the same as MUL, so MAD fusion still pays.
+func TestCycleTableCosts(t *testing.T) {
+	cost := func(op Op) int64 { return InstCost(&Inst{Op: op}) }
+	cheap := cost(OpADD)
 	for _, op := range []Op{OpSIN, OpCOS, OpEXP, OpLOG, OpPOW, OpDIV, OpSQRT, OpRSQ, OpTAN, OpATAN2} {
-		if cm.Costs[op] <= cheap {
-			t.Errorf("%s cost %d not above ADD cost %d", op, cm.Costs[op], cheap)
+		if cost(op) <= cheap {
+			t.Errorf("%s cost %d not above ADD cost %d", op, cost(op), cheap)
 		}
 	}
-	if cm.Costs[OpMUL24] >= cm.Costs[OpMUL] {
+	if cost(OpMUL24) >= cost(OpMUL) {
 		t.Error("mul24 not cheaper than mul")
 	}
-	if cm.Costs[OpMAD] != cm.Costs[OpMUL] {
+	if cost(OpMAD) != cost(OpMUL) {
 		t.Error("mad should cost the same as mul (fused)")
+	}
+	if cost(OpTEX) != 4 {
+		t.Errorf("tex issue cost %d, want 4", cost(OpTEX))
 	}
 }
 
@@ -360,23 +362,21 @@ func TestLimitErrorMessage(t *testing.T) {
 	}
 }
 
-// TestExecutorFallback pins Executor to the reference interpreter: the
-// returned function runs the original program with Run's outputs and
-// cycle charge.
+// TestExecutorFallback pins the reference interpreter every draw falls back
+// to: Run computes the program's outputs and charges its static cycles.
 func TestExecutorFallback(t *testing.T) {
-	cost := DefaultCostModel()
 	p := &Program{NumTemps: 1, NumOutputs: 1, Consts: [][4]float32{{2, 3, 4, 5}}, Insts: []Inst{
 		{Op: OpADD, Dst: DstReg(FileOutput, 0, 4),
 			A: SrcReg(FileConst, 0), B: SrcReg(FileConst, 0)},
 	}}
 	e := NewEnv(p)
-	if err := Executor(p, &cost)(e); err != nil {
+	if err := Run(p, e); err != nil {
 		t.Fatal(err)
 	}
 	if e.Outputs[0] != (Vec4{4, 6, 8, 10}) {
 		t.Fatalf("got %v", e.Outputs[0])
 	}
-	if e.Cycles != cost.StaticCycles(p) {
+	if e.Cycles != p.StaticCycles() {
 		t.Fatalf("cycles %d", e.Cycles)
 	}
 }
