@@ -2,12 +2,13 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gles2gpgpu/internal/core"
+	"gles2gpgpu/internal/shader"
 )
 
 // timingOnlyFields reads each Config field keyOf resets, as the engine
@@ -195,8 +196,9 @@ func TestSharedCalibrationKeepsDeviceLimits(t *testing.T) {
 	if _, shared := memo[keyOf(cfg, spec, o.withDefaults())]; !shared || len(memo) != 1 {
 		t.Fatalf("the strict copy does not share the stored calibration (%d keys)", len(memo))
 	}
-	if _, err := measure(ctx, memo, cfg, spec, o); err == nil ||
-		!strings.Contains(err.Error(), "exceeds implementation limit: instructions") {
+	_, err := measure(ctx, memo, cfg, spec, o)
+	var le *shader.LimitError
+	if !errors.As(err, &le) || le.What != "instructions" {
 		t.Errorf("strict copy: err = %v, want the instruction limit's error", err)
 	}
 	if runs != 1 {

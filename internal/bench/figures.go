@@ -2,12 +2,14 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"gles2gpgpu/internal/core"
 	"gles2gpgpu/internal/device"
 	"gles2gpgpu/internal/gles"
 	"gles2gpgpu/internal/kernels"
+	"gles2gpgpu/internal/shader"
 	"gles2gpgpu/internal/timing"
 )
 
@@ -273,12 +275,16 @@ func Fig4b(ctx context.Context, devs []*device.Profile, o Opts) (*Fig4bResult, e
 			}
 			res.Times[dn][target.String()] = times
 		}
-		// Demonstrate the implementation-limit ceiling above block 16.
+		// Demonstrate the implementation-limit ceiling above block 16: the
+		// paper-size kernel fails to compile under the device's limits.
+		// Only an exceeded limit counts; any other error ends the figure.
 		for _, block := range []int{32, 64} {
-			cfg := bestPractices(dev)
-			cfg.Swap = core.SwapNone
-			if _, err := measure(ctx, memo, cfg, Spec{Workload: WSgemm, Block: block}, o); err != nil {
+			_, err := build(bestPractices(dev), Spec{Workload: WSgemm, Block: block}, o.withDefaults().PaperSize, o.Seed, true)
+			var le *shader.LimitError
+			if errors.As(err, &le) {
 				res.CompileFail[dn] = append(res.CompileFail[dn], block)
+			} else if err != nil {
+				return nil, fmt.Errorf("fig4b %s block %d: %w", dev.Name, block, err)
 			}
 		}
 	}

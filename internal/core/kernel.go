@@ -19,20 +19,21 @@ type Kernel struct {
 // BuildKernel compiles the fragment source against the shared pass-through
 // vertex shader and links it. Compilation failures — including exceeding
 // the device's implementation limits, the paper's block-size ceiling —
-// surface as errors carrying the driver info log.
+// surface as errors wrapping the compile error behind the driver info log,
+// so an exceeded limit matches errors.As with a *shader.LimitError.
 func (e *Engine) BuildKernel(fragSource string) (*Kernel, error) {
 	gl := e.gl
 	vs := gl.CreateShader(gles.VERTEX_SHADER)
 	gl.ShaderSource(vs, e.vsSource)
 	gl.CompileShader(vs)
 	if gl.GetShaderiv(vs, gles.COMPILE_STATUS) != 1 {
-		return nil, fmt.Errorf("core: vertex shader: %s", gl.GetShaderInfoLog(vs))
+		return nil, fmt.Errorf("core: vertex shader: %w", gl.ShaderCompileError(vs))
 	}
 	fs := gl.CreateShader(gles.FRAGMENT_SHADER)
 	gl.ShaderSource(fs, fragSource)
 	gl.CompileShader(fs)
 	if gl.GetShaderiv(fs, gles.COMPILE_STATUS) != 1 {
-		return nil, fmt.Errorf("core: fragment shader: %s", gl.GetShaderInfoLog(fs))
+		return nil, fmt.Errorf("core: fragment shader: %w", gl.ShaderCompileError(fs))
 	}
 	prog := gl.CreateProgram()
 	gl.AttachShader(prog, vs)

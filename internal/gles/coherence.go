@@ -11,9 +11,9 @@ package gles
 // signature (program, uniform bits, geometry, viewport origin, colour
 // mask, per-slot sampler configuration), each 32×32 tile remembers
 //
-//   - the exact texel rectangle it fetched from every sampler slot (the
-//     footprint, recorded by tracking samplers that repeat the index
-//     arithmetic of sampler.go bit for bit),
+//   - the texel rectangle every sampler slot can fetch over the tile (the
+//     footprint, computed from the IR proof before the tile is
+//     snapshotted; see footprint.go),
 //   - a snapshot of the texel bytes under those footprints,
 //   - the output bytes it produced, with a coverage bitmap of the pixels
 //     it actually wrote,
@@ -25,11 +25,11 @@ package gles
 // construction, not by hashing: the comparison is bytes.Equal over the
 // exact inputs, and with blending off an eligible fragment program is a
 // deterministic function of (uniforms, varyings, fragcoord, sampled
-// texels) — equal recorded inputs replay the identical fetch sequence and
-// therefore the identical outputs. Dependent fetches are covered by
-// induction: the first fetch is determined by the compared state, so its
-// coordinates (and thus every later fetch) fall inside the recorded
-// footprint, which is a conservative union rectangle.
+// texels). The proven footprint is a superset of every texel the tile's
+// fragments fetch, so equal bytes under it mean equal fetch results and
+// therefore the identical outputs. A draw with a slot the proof cannot
+// bound (a dependent fetch, non-affine coordinates, LINEAR or REPEAT
+// sampling) is not eligible and shades with no cache at all.
 //
 // The cache key deliberately EXCLUDES texture object identity: ping-pong
 // stepping alternates two texture objects (iteration i samples A and
@@ -44,18 +44,19 @@ package gles
 // Modelled-device time is deliberately untouched: an elided tile
 // contributes its cached fragments/cycles/texFetches to the draw stats, so
 // Cycles, TexFetches and every virtual-time figure are bit-identical with
-// coherence on or off — only host wall-clock time changes. Non-elided
-// tiles shade in lane batches exactly like the tiled path (tiled.go). The
-// win is reported by the CoherenceElided/CoherenceShaded counters
-// (Context.CoherenceStats).
+// coherence on or off — only host wall-clock time changes. There is one
+// tile walk (shadeTriangles, tiled.go); on an eligible draw a cohRecorder
+// hooks into it to replay unchanged tiles, record the shaded ones and
+// commit them after the join. The win is reported by the
+// CoherenceElided/CoherenceShaded counters (Context.CoherenceStats).
 
 import (
 	"bytes"
 	"math"
-	"sync/atomic"
 
 	"gles2gpgpu/internal/raster"
 	"gles2gpgpu/internal/shader"
+	"gles2gpgpu/internal/shader/analysis"
 )
 
 // cohBudgetBytes caps the total retained snapshot bytes per context;
@@ -116,25 +117,22 @@ type cohDraw struct {
 
 // CoherenceStats returns the cumulative cross-iteration coherence counters:
 // tiles elided (output bytes replayed from the cache) and tiles shaded
-// through the coherent path. Modelled cycles are identical either way; the
+// by a coherence-eligible draw. Modelled cycles are identical either way; the
 // ratio is the host-work win.
 func (c *Context) CoherenceStats() (elided, shaded int64) {
 	return c.cohElided, c.cohShaded
 }
 
-// CoherenceStaticSlots returns how many sampler slots (summed over
-// coherent draws) took their footprint from the static IR proof instead
-// of dynamic fetch tracking.
-func (c *Context) CoherenceStaticSlots() int64 { return c.cohStatic }
-
 // coherentEligible gates the coherent tile path. Blending is excluded
 // because a blended fragment reads the destination pixel, making the
 // output depend on target history the signature does not capture; sampling
 // the render target itself (undefined in GLES2) is excluded for the same
-// reason. Callers only ask for fast-path draws, whose liveness proofs make
-// fragments independent of each other and of pooled LaneEnv state, so a
-// tile-order walk is byte-identical to the serial walk.
-func (c *Context) coherentEligible(tgt renderTarget, samplers []*Texture) bool {
+// reason. Every sampler slot must have a proven footprint (cohProvable):
+// that rectangle is what a tile's input snapshot covers. Callers only ask
+// for fast-path draws, whose liveness proofs make fragments independent
+// of each other and of pooled LaneEnv state, so a tile-order walk is
+// byte-identical to the serial walk.
+func (c *Context) coherentEligible(p *Program, tgt renderTarget, samplers []*Texture) bool {
 	if !c.coherence || c.timingOnly || c.blendEnabled {
 		return false
 	}
@@ -143,7 +141,7 @@ func (c *Context) coherentEligible(tgt renderTarget, samplers []*Texture) bool {
 			return false
 		}
 	}
-	return true
+	return cohProvable(c.footprintFor(p.fsProg), p, samplers)
 }
 
 // cohSignature serialises the draw state a cached tile's output depends on
@@ -190,135 +188,6 @@ func (c *Context) cohSignature(p *Program, setups []raster.Triangle, vpX, vpY in
 		p32(uint32(t.wrapT))
 	}
 	return sig
-}
-
-// cohTracker records, per sampler slot, the union texel rectangle fetched
-// while shading one tile. One tracker per worker; reset at tile start.
-type cohTracker struct {
-	foot []cohRect
-}
-
-func (tr *cohTracker) reset() {
-	for i := range tr.foot {
-		tr.foot[i] = cohRect{x0: 1, y0: 1, x1: 0, y1: 0}
-	}
-}
-
-func (tr *cohTracker) add(slot, ix, iy int) {
-	f := &tr.foot[slot]
-	if f.empty() {
-		*f = cohRect{x0: ix, y0: iy, x1: ix, y1: iy}
-		return
-	}
-	if ix < f.x0 {
-		f.x0 = ix
-	} else if ix > f.x1 {
-		f.x1 = ix
-	}
-	if iy < f.y0 {
-		f.y0 = iy
-	} else if iy > f.y1 {
-		f.y1 = iy
-	}
-}
-
-func (tr *cohTracker) addRect(slot, x0, y0, x1, y1 int) {
-	f := &tr.foot[slot]
-	if f.empty() {
-		*f = cohRect{x0: x0, y0: y0, x1: x1, y1: y1}
-		return
-	}
-	if x0 < f.x0 {
-		f.x0 = x0
-	}
-	if y0 < f.y0 {
-		f.y0 = y0
-	}
-	if x1 > f.x1 {
-		f.x1 = x1
-	}
-	if y1 > f.y1 {
-		f.y1 = y1
-	}
-}
-
-func cohClampIdx(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// trackedSampler wraps one slot's fetch with footprint recording. Every
-// branch repeats the exact index arithmetic of specializeSampler /
-// sampleNearest / sampleBilinear / texel — including the clamp order and
-// the implementation-defined int(NaN) conversion feeding the same clamps —
-// so the recorded rectangle is precisely the set of texels the value path
-// reads and the returned value is bit-identical to the untracked sampler.
-func trackedSampler(t *Texture, tr *cohTracker, slot int) shader.TexFunc {
-	if !texComplete(t) {
-		return opaqueBlack
-	}
-	if t.magFilter != LINEAR && t.wrapS != REPEAT && t.wrapT != REPEAT {
-		// Mirror of the NEAREST + CLAMP_TO_EDGE fast path in sampler.go.
-		data := t.data
-		w, h := t.W, t.H
-		fw, fh := float32(w), float32(h)
-		return func(u, v float32) shader.Vec4 {
-			if u < 0 {
-				u = 0
-			} else if u > 1 {
-				u = 1
-			}
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			ix := int(u * fw)
-			iy := int(v * fh)
-			if ix < 0 {
-				ix = 0
-			} else if ix >= w {
-				ix = w - 1
-			}
-			if iy < 0 {
-				iy = 0
-			} else if iy >= h {
-				iy = h - 1
-			}
-			tr.add(slot, ix, iy)
-			off := (iy*w + ix) * 4
-			return shader.Vec4{
-				byteToF32[data[off]],
-				byteToF32[data[off+1]],
-				byteToF32[data[off+2]],
-				byteToF32[data[off+3]],
-			}
-		}
-	}
-	// LINEAR filtering or REPEAT wrapping: record the texel() indices the
-	// reference path will clamp to, then return the reference sample.
-	return func(u, v float32) shader.Vec4 {
-		uw := wrapCoord(t.wrapS, u)
-		vw := wrapCoord(t.wrapT, v)
-		if t.magFilter == LINEAR {
-			fx := uw*float32(t.W) - 0.5
-			fy := vw*float32(t.H) - 0.5
-			ix, iy := int(floorf(fx)), int(floorf(fy))
-			tr.addRect(slot,
-				cohClampIdx(ix, t.W), cohClampIdx(iy, t.H),
-				cohClampIdx(ix+1, t.W), cohClampIdx(iy+1, t.H))
-		} else {
-			ix := int(uw * float32(t.W))
-			iy := int(vw * float32(t.H))
-			tr.add(slot, cohClampIdx(ix, t.W), cohClampIdx(iy, t.H))
-		}
-		return shader.Vec4(sampleTexture(t, u, v))
-	}
 }
 
 // cohInputsEqual reports whether the texel bytes under a cached tile's
@@ -391,21 +260,38 @@ func cohTileBytes(ct *cohTile) int {
 	return n
 }
 
-// shadeTrianglesCoherent is the coherent tile path: it bins the draw into
-// tiles, elides tiles whose cached inputs are unchanged since the last
-// matching draw, shades the rest in lane batches with footprint-tracking
-// samplers (in parallel when workers are configured), and refreshes the
-// cache. Returns ok=false when the draw is too large to cache; the caller
-// falls through to the plain tiled path.
-func (c *Context) shadeTrianglesCoherent(p *Program, lf *laneForm, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture) (drawStats, bool) {
-	tiles := binTiles(setups)
-	if len(tiles) == 0 {
-		return drawStats{}, false
-	}
-	if len(tiles)*(tileSize*tileSize*4+256) > cohMaxEntryBytes {
-		return drawStats{}, false
-	}
+// cohRecorder ties one eligible draw's tile walk (shadeTriangles) to its
+// cache entry. The draw goroutine replays the unchanged tiles (cohReplay)
+// and commits the shaded ones after the join (commit); in between, each
+// worker opens and closes the tiles it claims. Workers write disjoint
+// tile pixel rects (every pixel belongs to exactly one tile) and their
+// own slots of shaded, so the entry map is touched only by the draw
+// goroutine.
+type cohRecorder struct {
+	c        *Context
+	key      cohKey
+	entry    *cohDraw
+	foot     *analysis.Footprint
+	p        *Program
+	uniforms [][4]float32
+	setups   []raster.Triangle
+	tgt      renderTarget
+	vpX, vpY int
+	samplers []*Texture
 
+	tiles  []tileBin  // the walk's work list: tiles left to shade
+	shaded []*cohTile // by work-list position; nil for a tile left uncached
+}
+
+// cohReplay starts the coherent part of an eligible draw: it finds (or
+// replaces) the draw's cache entry, replays every tile whose inputs are
+// unchanged since the last matching draw, adding its cached share to st,
+// and returns the recorder with the tiles left to shade. A draw too large
+// to cache gets a nil recorder and all its tiles back.
+func (c *Context) cohReplay(p *Program, tgt renderTarget, setups []raster.Triangle, tiles []tileBin, vpX, vpY int, samplers []*Texture, st *drawStats) (*cohRecorder, []tileBin) {
+	if len(tiles) == 0 || len(tiles)*(tileSize*tileSize*4+256) > cohMaxEntryBytes {
+		return nil, tiles
+	}
 	fp := p.fsProg
 	key := cohKey{program: c.current, w: tgt.w, h: tgt.h}
 	sig := c.cohSignature(p, setups, vpX, vpY, samplers)
@@ -424,17 +310,12 @@ func (c *Context) shadeTrianglesCoherent(p *Program, lf *laneForm, tgt renderTar
 	}
 	entry.gen = c.cohGen
 
-	st := drawStats{valid: true}
-	mask := c.colorMask
-
-	// Partition the tiles: replay the ones whose inputs are unchanged,
-	// shade the rest.
-	shadeIdx := make([]int, 0, len(tiles))
+	shade := make([]tileBin, 0, len(tiles))
 	for ti := range tiles {
 		tile := &tiles[ti]
 		if match {
 			if ct := entry.tiles[[2]int{tile.x0, tile.y0}]; ct != nil && cohInputsEqual(ct, samplers) {
-				cohApply(ct, tgt, mask)
+				cohApply(ct, tgt, c.colorMask)
 				st.fragments += ct.fragments
 				st.cycles += ct.cycles
 				st.texFetches += ct.texFetches
@@ -442,243 +323,133 @@ func (c *Context) shadeTrianglesCoherent(p *Program, lf *laneForm, tgt renderTar
 				continue
 			}
 		}
-		shadeIdx = append(shadeIdx, ti)
+		shade = append(shade, *tile)
 	}
-	c.cohShaded += int64(len(shadeIdx))
-	if len(shadeIdx) == 0 {
-		c.cohEvict(key, entry)
-		return st, true
-	}
+	c.cohShaded += int64(len(shade))
+	return &cohRecorder{
+		c: c, key: key, entry: entry,
+		foot: c.footprintFor(fp), p: p, uniforms: p.fsUniforms4(),
+		setups: setups, tgt: tgt, vpX: vpX, vpY: vpY, samplers: samplers,
+		tiles: shade, shaded: make([]*cohTile, len(shade)),
+	}, shade
+}
 
-	// Static footprints: slots whose fetch region the IR analysis proved
-	// shade without per-fetch tracking; the proven per-tile rectangle is
-	// snapshotted instead (see footprint.go).
-	foot := c.footprintFor(fp)
-	static := cohStaticSlots(foot, p, samplers)
-	hasStatic := false
-	for _, s := range static {
-		if s {
-			hasStatic = true
+// open decides whether work-list tile ti is recorded and, if so, starts
+// recording it. A tile that is clipped away, whose footprint cannot be
+// bounded (non-affine 1/w, a NaN bound) or whose inputs exceed
+// cohMaxTileInBytes (whole-matrix reads) is shaded unrecorded: open
+// returns nil and the entry drops the tile at commit. A recorded tile
+// holds the worker's running stat totals until close turns them into
+// deltas.
+func (r *cohRecorder) open(ls *laneShader, ti int) *cohTile {
+	tile := &r.tiles[ti]
+	cx0, cy0 := max(tile.x0+r.vpX, 0), max(tile.y0+r.vpY, 0)
+	cx1, cy1 := min(tile.x1+r.vpX, r.tgt.w-1), min(tile.y1+r.vpY, r.tgt.h-1)
+	if cx0 > cx1 || cy0 > cy1 {
+		return nil
+	}
+	foot := make([]cohRect, len(r.samplers))
+	if !cohTileRects(r.foot, r.p, r.uniforms, r.setups, tile, r.samplers, foot) {
+		return nil
+	}
+	inBytes := 0
+	for si := range foot {
+		if fr := &foot[si]; !fr.empty() {
+			inBytes += (fr.x1 - fr.x0 + 1) * (fr.y1 - fr.y0 + 1) * 4
 		}
 	}
-	if hasStatic {
-		for _, s := range static {
-			if s {
-				c.cohStatic++
-			}
-		}
-	}
-	uniforms4 := p.fsUniforms4()
-
-	nw := c.workers
-	if nw > len(shadeIdx) {
-		nw = len(shadeIdx)
-	}
-	if nw < 1 {
-		nw = 1
+	if inBytes > cohMaxTileInBytes {
+		return nil
 	}
 
-	// Per-tile results staged by shade-list position; the entry map is only
-	// touched on the draw goroutine after the join. Workers write disjoint
-	// tile pixel rects (every pixel belongs to exactly one tile) and read
-	// shared setups/textures, so the only synchronisation needed is the
-	// claim counter.
-	newTiles := make([]*cohTile, len(shadeIdx))
-	var next int64
-	worker := func() {
-		tr := &cohTracker{foot: make([]cohRect, len(samplers))}
-		tfns := make([]shader.TexFunc, len(samplers))
-		for i, t := range samplers {
-			if static[i] {
-				// Proven slot: the plain specialised sampler (bit-identical
-				// values, no recording); the footprint comes from the proof.
-				tfns[i] = specializeSampler(t)
-			} else {
-				tfns[i] = trackedSampler(t, tr, i)
-			}
+	// The batch so far belongs to earlier, unrecorded tiles.
+	ls.flush()
+	cw := cx1 - cx0 + 1
+	ct := &cohTile{
+		cx0: cx0, cy0: cy0, cx1: cx1, cy1: cy1,
+		foot:  foot,
+		cover: make([]uint64, (cw*(cy1-cy0+1)+63)/64),
+	}
+	ct.fragments, ct.cycles, ct.texFetches = ls.frags, ls.env.Cycles, ls.env.TexFetches
+	// Cover bits are set at scatter time, not at gather: a masked batch
+	// can discard individual lanes, and a discarded fragment's pixel must
+	// stay uncovered.
+	ls.onWrite = func(px, py int32) {
+		bit := (int(py)-cy0)*cw + (int(px) - cx0)
+		ct.cover[bit>>6] |= 1 << uint(bit&63)
+	}
+	return ct
+}
+
+// close ends the recorded work-list tile ti: it flushes the tile's last
+// batch so the per-tile stat deltas are exact (scatter order stays gather
+// order, so bytes are unchanged), then snapshots the tile's output and
+// its proven inputs.
+func (r *cohRecorder) close(ls *laneShader, ti int, ct *cohTile) {
+	ls.flush()
+	ls.onWrite = nil
+	ct.fragments = ls.frags - ct.fragments
+	ct.cycles = ls.env.Cycles - ct.cycles
+	ct.texFetches = ls.env.TexFetches - ct.texFetches
+
+	// Output snapshot: only this worker writes this tile's pixel rect, so
+	// the copy races with nothing.
+	cw, ch := ct.cx1-ct.cx0+1, ct.cy1-ct.cy0+1
+	ct.out = make([]byte, cw*ch*4)
+	for row := 0; row < ch; row++ {
+		src := ((ct.cy0+row)*r.tgt.w + ct.cx0) * 4
+		copy(ct.out[row*cw*4:(row+1)*cw*4], r.tgt.pixels[src:src+cw*4])
+	}
+	ct.full = true
+	for bit := 0; bit < cw*ch; bit++ {
+		if ct.cover[bit>>6]&(1<<uint(bit&63)) == 0 {
+			ct.full = false
+			break
 		}
-		var staticRects []cohRect
-		if hasStatic {
-			staticRects = make([]cohRect, len(samplers))
-		}
-		sample := func(idx int, u, v float32) shader.Vec4 {
-			if idx < 0 || idx >= len(tfns) {
-				return shader.Vec4{0, 0, 0, 1}
-			}
-			return tfns[idx](u, v)
-		}
-		ls := c.newLaneShader(lf, p, tgt, tfns, sample)
-
-		for {
-			wi := int(atomic.AddInt64(&next, 1)) - 1
-			if wi >= len(shadeIdx) {
-				break
-			}
-			tile := &tiles[shadeIdx[wi]]
-			ct := &cohTile{}
-			cx0, cy0 := tile.x0+vpX, tile.y0+vpY
-			cx1, cy1 := tile.x1+vpX, tile.y1+vpY
-			if cx0 < 0 {
-				cx0 = 0
-			}
-			if cy0 < 0 {
-				cy0 = 0
-			}
-			if cx1 > tgt.w-1 {
-				cx1 = tgt.w - 1
-			}
-			if cy1 > tgt.h-1 {
-				cy1 = tgt.h - 1
-			}
-			clipped := cx0 <= cx1 && cy0 <= cy1
-			cw := 0
-			if clipped {
-				cw = cx1 - cx0 + 1
-				ct.cover = make([]uint64, (cw*(cy1-cy0+1)+63)/64)
-			}
-			ct.cx0, ct.cy0, ct.cx1, ct.cy1 = cx0, cy0, cx1, cy1
-			tr.reset()
-
-			pf, pc, pt := ls.frags, ls.env.Cycles, ls.env.TexFetches
-			// Cover bits are set at scatter time via the write hook, not at
-			// gather: a masked batch can discard individual lanes, and a
-			// discarded fragment's pixel must stay uncovered.
-			ls.onWrite = func(px, py int32) {
-				bit := (int(py)-cy0)*cw + (int(px) - cx0)
-				ct.cover[bit>>6] |= 1 << uint(bit&63)
-			}
-			for _, tri := range tile.tris {
-				setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-					px, py := vpX+x, vpY+y
-					if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-						return
-					}
-					ls.add(px, py, fc, varyings)
-				})
-			}
-			// Flush at the tile boundary so the per-tile stat attribution is
-			// exact. Scatter order stays gather order and fragments are
-			// independent (liveness proofs), so bytes are unchanged;
-			// counters are per-fragment sums, indifferent to batching.
-			ls.flush()
-			ls.onWrite = nil
-			ct.fragments = ls.frags - pf
-			ct.cycles = ls.env.Cycles - pc
-			ct.texFetches = ls.env.TexFetches - pt
-
-			if clipped {
-				ch := cy1 - cy0 + 1
-				// Output snapshot: only this worker writes this tile's pixel
-				// rect, so the copy races with nothing.
-				ct.out = make([]byte, cw*ch*4)
-				for row := 0; row < ch; row++ {
-					src := ((cy0+row)*tgt.w + cx0) * 4
-					copy(ct.out[row*cw*4:(row+1)*cw*4], tgt.pixels[src:src+cw*4])
-				}
-				npix := cw * ch
-				ct.full = true
-				for bit := 0; bit < npix; bit++ {
-					if ct.cover[bit>>6]&(1<<uint(bit&63)) == 0 {
-						ct.full = false
-						break
-					}
-				}
-			}
-
-			// Input snapshots under the recorded footprints. Copied, not
-			// aliased: TexImage2D orphans its data slice but
-			// CopyTexImage2D reuses backing arrays.
-			ct.foot = make([]cohRect, len(samplers))
-			copy(ct.foot, tr.foot)
-			if hasStatic {
-				if cohStaticRects(foot, static, p, uniforms4, setups, tile, samplers, staticRects) {
-					for si := range static {
-						if static[si] {
-							ct.foot[si] = staticRects[si]
-						}
-					}
-				} else {
-					// The tile's fetch region cannot be bounded statically
-					// (non-affine 1/w or a NaN bound): keep the shading
-					// result but leave the tile uncached, like a tile over
-					// the input budget.
-					ct.in = nil
-					ct.out = nil
-					ct.cover = nil
-					newTiles[wi] = ct
-					continue
-				}
-			}
-			ct.in = make([][]byte, len(samplers))
-			inBytes := 0
-			for si := range ct.foot {
-				fr := &ct.foot[si]
-				if fr.empty() {
-					continue
-				}
-				inBytes += (fr.x1 - fr.x0 + 1) * (fr.y1 - fr.y0 + 1) * 4
-			}
-			if inBytes > cohMaxTileInBytes {
-				// Footprint too large to cache (whole-matrix reads): keep
-				// the shading result but drop the tile from the cache.
-				ct.in = nil
-				ct.out = nil
-				ct.cover = nil
-				newTiles[wi] = ct
-				continue
-			}
-			for si := range ct.foot {
-				fr := &ct.foot[si]
-				if fr.empty() {
-					continue
-				}
-				t := samplers[si]
-				rw := (fr.x1 - fr.x0 + 1) * 4
-				snap := make([]byte, rw*(fr.y1-fr.y0+1))
-				for row := fr.y0; row <= fr.y1; row++ {
-					src := (row*t.W + fr.x0) * 4
-					copy(snap[(row-fr.y0)*rw:(row-fr.y0+1)*rw], t.data[src:src+rw])
-				}
-				ct.in[si] = snap
-			}
-			ct.bytes = cohTileBytes(ct)
-			newTiles[wi] = ct
-		}
-
-		ls.finish() // per-tile stats already attributed; recycle the env
 	}
 
-	if nw >= 2 {
-		fns := make([]func(), nw)
-		for i := range fns {
-			fns[i] = worker
+	// Input snapshots under the footprints. Copied, not aliased:
+	// TexImage2D orphans its data slice but CopyTexImage2D reuses backing
+	// arrays.
+	ct.in = make([][]byte, len(r.samplers))
+	for si := range ct.foot {
+		fr := &ct.foot[si]
+		if fr.empty() {
+			continue
 		}
-		c.ensurePool().run(fns)
-	} else {
-		worker()
+		t := r.samplers[si]
+		rw := (fr.x1 - fr.x0 + 1) * 4
+		snap := make([]byte, rw*(fr.y1-fr.y0+1))
+		for row := fr.y0; row <= fr.y1; row++ {
+			src := (row*t.W + fr.x0) * 4
+			copy(snap[(row-fr.y0)*rw:(row-fr.y0+1)*rw], t.data[src:src+rw])
+		}
+		ct.in[si] = snap
 	}
+	ct.bytes = cohTileBytes(ct)
+	r.shaded[ti] = ct
+}
 
-	// Merge stats and refresh the cache entry (serial again).
-	for wi, ct := range newTiles {
-		st.fragments += ct.fragments
-		st.cycles += ct.cycles
-		st.texFetches += ct.texFetches
-		tile := &tiles[shadeIdx[wi]]
-		k := [2]int{tile.x0, tile.y0}
+// commit refreshes the cache entry with the recorded tiles, dropping what
+// it held for tiles left uncached, and enforces the byte budget. Runs on
+// the draw goroutine after the join.
+func (r *cohRecorder) commit() {
+	c, entry := r.c, r.entry
+	for ti, ct := range r.shaded {
+		k := [2]int{r.tiles[ti].x0, r.tiles[ti].y0}
 		if old := entry.tiles[k]; old != nil {
 			entry.bytes -= old.bytes
 			c.cohBytes -= old.bytes
 			delete(entry.tiles, k)
 		}
-		if ct.out == nil && ct.cover == nil {
-			continue // over the per-tile input budget: not cached
+		if ct == nil {
+			continue
 		}
 		entry.tiles[k] = ct
 		entry.bytes += ct.bytes
 		c.cohBytes += ct.bytes
 	}
-	c.cohEvict(key, entry)
-	return st, true
+	c.cohEvict(r.key, entry)
 }
 
 // cohEvict enforces the retained-byte budget: oldest-generation entries go

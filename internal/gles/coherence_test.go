@@ -40,6 +40,13 @@ type cohTestCtx struct {
 
 func newCohTestCtx(t *testing.T, n int, coherence bool) *cohTestCtx {
 	t.Helper()
+	return newCohTestCtxFS(t, n, coherence, cohStencilFS)
+}
+
+// newCohTestCtxFS is newCohTestCtx with another fragment shader sampling
+// u_tex on unit 0.
+func newCohTestCtxFS(t *testing.T, n int, coherence bool, fs string) *cohTestCtx {
+	t.Helper()
 	env := newEnv(t, device.Generic(), n, n, false)
 	gl := env.gl
 	gl.SetCoherence(coherence)
@@ -48,7 +55,7 @@ func newCohTestCtx(t *testing.T, n int, coherence bool) *cohTestCtx {
 	// the far side of the texture into every border tile's footprint.
 	gl.TexParameteri(TEXTURE_2D, TEXTURE_WRAP_S, CLAMP_TO_EDGE)
 	gl.TexParameteri(TEXTURE_2D, TEXTURE_WRAP_T, CLAMP_TO_EDGE)
-	prog := buildProgram(t, gl, quadVS, cohStencilFS)
+	prog := buildProgram(t, gl, quadVS, fs)
 	gl.UseProgram(prog)
 	gl.Uniform1i(gl.GetUniformLocation(prog, "u_tex"), 0)
 	return &cohTestCtx{gl: gl, prog: prog, tex: tex}
@@ -153,29 +160,70 @@ func TestCoherenceSingleTexelInvalidation(t *testing.T) {
 	}
 }
 
-// TestCoherenceIneligibleDraws verifies the gate: blending on, or sampling
-// the render target itself, must bypass the cache entirely (counters frozen)
-// while still producing correct pixels.
+// TestCoherenceIneligibleDraws verifies the gate: a draw that blends, or
+// has a sampler slot whose footprint the proof does not cover, must bypass
+// the cache entirely (counters frozen) while matching a coherence-off
+// mirror byte for byte, stats included.
 func TestCoherenceIneligibleDraws(t *testing.T) {
 	const n = 64
-	coh := newCohTestCtx(t, n, true)
-	defer coh.gl.Destroy()
-	coh.gl.Enable(BLEND)
-	for i := 0; i < 3; i++ {
-		drawQuad(t, coh.gl, coh.prog)
+	rows := []struct {
+		name  string
+		fs    string
+		setup func(gl *Context)
+	}{
+		{"blend", cohStencilFS, func(gl *Context) { gl.Enable(BLEND) }},
+		{"repeat wrap", cohStencilFS, func(gl *Context) {
+			gl.TexParameteri(TEXTURE_2D, TEXTURE_WRAP_S, REPEAT)
+			gl.TexParameteri(TEXTURE_2D, TEXTURE_WRAP_T, REPEAT)
+		}},
+		{"linear filter", cohStencilFS, func(gl *Context) {
+			gl.TexParameteri(TEXTURE_2D, TEXTURE_MIN_FILTER, LINEAR)
+			gl.TexParameteri(TEXTURE_2D, TEXTURE_MAG_FILTER, LINEAR)
+		}},
+		{"dependent fetch", `
+precision mediump float;
+varying vec2 v_tex;
+uniform sampler2D u_tex;
+void main() {
+	gl_FragColor = texture2D(u_tex, texture2D(u_tex, v_tex).xy);
+}`, nil},
+		{"gl_FragCoord.w coordinate", `
+precision mediump float;
+uniform sampler2D u_tex;
+void main() {
+	gl_FragColor = texture2D(u_tex, vec2(gl_FragCoord.w * 0.5, 0.25));
+}`, nil},
 	}
-	if elided, shaded := coh.gl.CoherenceStats(); elided != 0 || shaded != 0 {
-		t.Errorf("blended draws touched the coherence cache: %d elided, %d shaded", elided, shaded)
-	}
-	coh.gl.Disable(BLEND)
-
-	off := newCohTestCtx(t, n, false)
-	defer off.gl.Destroy()
-	for i := 0; i < 3; i++ {
-		drawQuad(t, off.gl, off.prog)
-	}
-	if elided, shaded := off.gl.CoherenceStats(); elided != 0 || shaded != 0 {
-		t.Errorf("disabled cache still counted: %d elided, %d shaded", elided, shaded)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			coh := newCohTestCtxFS(t, n, true, row.fs)
+			defer coh.gl.Destroy()
+			ref := newCohTestCtxFS(t, n, false, row.fs)
+			defer ref.gl.Destroy()
+			if row.setup != nil {
+				row.setup(coh.gl)
+				row.setup(ref.gl)
+			}
+			for i := 0; i < 3; i++ {
+				pixels, stats, _, _ := coh.draw(t, n)
+				wantPixels, wantStats, _, _ := ref.draw(t, n)
+				if !bytes.Equal(pixels, wantPixels) {
+					t.Fatalf("draw %d: framebuffer differs from the coherence-off mirror", i)
+				}
+				if stats.fragments != wantStats.fragments || stats.cycles != wantStats.cycles ||
+					stats.texFetches != wantStats.texFetches {
+					t.Fatalf("draw %d: frags=%d cycles=%d tex=%d, coherence-off mirror frags=%d cycles=%d tex=%d",
+						i, stats.fragments, stats.cycles, stats.texFetches,
+						wantStats.fragments, wantStats.cycles, wantStats.texFetches)
+				}
+			}
+			if elided, shaded := coh.gl.CoherenceStats(); elided != 0 || shaded != 0 {
+				t.Errorf("ineligible draws touched the coherence cache: %d elided, %d shaded", elided, shaded)
+			}
+			if elided, shaded := ref.gl.CoherenceStats(); elided != 0 || shaded != 0 {
+				t.Errorf("disabled cache still counted: %d elided, %d shaded", elided, shaded)
+			}
+		})
 	}
 }
 
@@ -236,13 +284,11 @@ func TestCoherencePingPongTextures(t *testing.T) {
 	}
 }
 
-// TestCoherenceStaticFootprint proves the proof-gated static footprint
-// path actually engages for the stencil kernel (NEAREST + CLAMP_TO_EDGE,
-// affine coordinates): the static-slot counter must advance on the
-// coherent context, elision must stay exact, and pixels must stay
-// byte-identical to the coherence-off mirror. Without this assertion the
-// static feed could silently fall back to dynamic tracking and every
-// other coherence test would still pass vacuously.
+// TestCoherenceStaticFootprint proves the proven footprints drive exact
+// elision for the stencil kernel (NEAREST + CLAMP_TO_EDGE, affine
+// coordinates): an identical redraw replays every tile, a poke re-shades
+// exactly the one tile whose one-texel-ring footprint holds it, and pixels
+// stay byte-identical to the coherence-off mirror.
 func TestCoherenceStaticFootprint(t *testing.T) {
 	const n = 64 // 2×2 tiles of tileSize (32)
 	coh := newCohTestCtx(t, n, true)
@@ -255,14 +301,6 @@ func TestCoherenceStaticFootprint(t *testing.T) {
 	if !bytes.Equal(p0, r0) {
 		t.Fatal("coherent and reference pixels differ on the first draw")
 	}
-	if d := coh.gl.CoherenceStaticSlots(); d != 1 {
-		t.Fatalf("static slots after first draw = %d, want 1 (stencil slot must be proven)", d)
-	}
-	if ref.gl.CoherenceStaticSlots() != 0 {
-		t.Fatal("coherence-off context must never take the static path")
-	}
-
-	// The statically-computed footprints drive the same elision decisions.
 	if _, _, elided, shaded := coh.draw(t, n); elided != 4 || shaded != 0 {
 		t.Fatalf("identical redraw: elided=%d shaded=%d, want 4/0", elided, shaded)
 	}

@@ -250,9 +250,6 @@ type Context struct {
 	cohBytes  int
 	cohElided int64
 	cohShaded int64
-	// cohStatic counts sampler slots (per coherent draw) whose footprint
-	// came from the static IR proof instead of dynamic fetch tracking.
-	cohStatic int64
 	// footCache memoises the per-program footprint analysis.
 	footCache map[*shader.Program]*analysis.Footprint
 

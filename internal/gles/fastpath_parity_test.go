@@ -75,8 +75,8 @@ func expectSameOutcome(t *testing.T, name string, ref, got drawOutcome) {
 }
 
 // expectParity runs the scenario on the interpreter loop and on the fast
-// path at one and four workers, through both of its tile walks: coherent
-// (the default for unblended draws) and plain (coherence off). Every
+// path at one and four workers, with the coherence cache on (the default;
+// eligible draws record their tiles in the walk) and off. Every
 // scenario's fragment program has a lane form, so the fast runs must
 // count no lane fallback — otherwise the comparison would be the oracle
 // against itself.

@@ -1,30 +1,28 @@
 package gles
 
-// Static sampler footprints for the coherence cache.
+// Proven sampler footprints for the coherence cache.
 //
-// The coherence path (coherence.go) normally discovers each tile's sampled
-// texel region by recording every fetch through a tracking sampler. When
-// the shader IR analysis proves a slot's coordinates are affine chains
-// over at most one input component (analysis.SolveFootprint), the region
-// is computable up front instead: bound the referenced input over the
-// tile (gl_FragCoord from the tile rectangle, varyings by corner
-// evaluation via raster.VaryingRectBounds, which widens one float32 ulp
-// per side to cover interpolation rounding) and push the bounds through
-// the proven chain (analysis.SlotRect, which replicates the sampler's
-// NEAREST + CLAMP_TO_EDGE index arithmetic; the chain steps are weakly
-// monotone so the rectangle is exact — no pad). Slots proven this way
-// shade through the plain specialised sampler — no per-fetch recording —
-// and the proven rectangle is snapshotted under the same bytes.Equal
-// elision contract.
-// The static rectangle is a superset of the texels actually fetched, so
-// the comparison only gets more conservative, never less: elision stays
-// bit-identical by construction.
+// A tile can only be cached (coherence.go) if its sampled texel region is
+// known before the next draw compares it. The shader IR analysis
+// (analysis.SolveFootprint) proves, per sampler slot, that the
+// coordinates are affine chains over at most one input component. Given
+// that proof the region is computable up front: bound the referenced
+// input over the tile (gl_FragCoord from the tile rectangle, varyings by
+// corner evaluation via raster.VaryingRectBounds, which widens one
+// float32 ulp per side to cover interpolation rounding) and push the
+// bounds through the proven chain (analysis.SlotRect, which replicates
+// the sampler's NEAREST + CLAMP_TO_EDGE index arithmetic; the chain steps
+// are weakly monotone so the rectangle is exact — no pad). Fetches go
+// through the plain specialised sampler; nothing records them.
 //
-// Slots the analysis cannot prove (dependent fetches, non-affine
-// coordinates, LINEAR/REPEAT sampling) keep the dynamic tracker; the two
-// kinds mix freely within one draw. A tile whose static bounds fail to
-// evaluate (non-affine 1/w, NaN varyings) is shaded but not cached — the
-// same degradation as a tile whose footprint exceeds the input budget.
+// The rectangle is a superset of the texels actually fetched, so the
+// bytes.Equal elision contract only gets more conservative, never less:
+// elision stays bit-identical by construction. A draw with any slot the
+// proof does not cover (dependent fetches, non-affine coordinates,
+// LINEAR/REPEAT sampling, a gl_FragCoord.w coordinate) skips the cache.
+// A tile whose bounds fail to evaluate (non-affine 1/w, NaN varyings) is
+// shaded but not cached — the same degradation as a tile whose footprint
+// exceeds the input budget.
 
 import (
 	"gles2gpgpu/internal/raster"
@@ -47,49 +45,41 @@ func (c *Context) footprintFor(fp *shader.Program) *analysis.Footprint {
 	return f
 }
 
-// cohStaticSlots decides, per sampler slot, whether this draw can use the
-// proven static footprint instead of dynamic tracking: the slot must be
-// proven, every referenced input must be boundable over a tile, and the
-// bound texture must use the NEAREST + CLAMP_TO_EDGE configuration whose
-// index arithmetic SlotRect replicates. Slots with no reachable fetches
-// (or an incomplete texture, which samples constant opaque black) are
-// static with an empty footprint.
-func cohStaticSlots(f *analysis.Footprint, p *Program, samplers []*Texture) []bool {
-	static := make([]bool, len(samplers))
-	for si := range samplers {
+// cohProvable reports whether every sampler slot of this draw has a
+// footprint cohTileRects can compute: the slot must be proven, every
+// referenced input must be boundable over a tile, and the bound texture
+// must use the NEAREST + CLAMP_TO_EDGE configuration whose index
+// arithmetic SlotRect replicates. Slots with no reachable fetches (or an
+// incomplete texture, which samples constant opaque black) have an empty
+// footprint.
+func cohProvable(f *analysis.Footprint, p *Program, samplers []*Texture) bool {
+	for si, t := range samplers {
 		if si >= len(f.Slots) || !f.Slots[si].Provable {
-			continue
+			return false
 		}
 		sf := &f.Slots[si]
-		t := samplers[si]
 		if len(sf.Coords) == 0 || !texComplete(t) {
-			static[si] = true // fetches nothing / constant opaque black
-			continue
+			continue // fetches nothing / constant opaque black
 		}
 		if t.magFilter == LINEAR || t.wrapS == REPEAT || t.wrapT == REPEAT {
-			continue // SlotRect models only the fast path
+			return false // SlotRect models only the fast path
 		}
-		ok := true
 		for ci := range sf.Coords {
 			pair := &sf.Coords[ci]
 			for _, tc := range [2]*analysis.TexCoord{&pair.U, &pair.V} {
-				if !tc.HasInput {
-					continue
-				}
-				if tc.InReg == p.fragCoordReg && tc.InComp == 3 {
-					ok = false // 1/w is not exposed to the static bound
+				if tc.HasInput && tc.InReg == p.fragCoordReg && tc.InComp == 3 {
+					return false // 1/w is not exposed to the static bound
 				}
 			}
 		}
-		static[si] = ok
 	}
-	return static
+	return true
 }
 
-// cohStaticRects evaluates the proven footprints of every static slot for
-// one tile. ok=false when any static slot's bounds cannot be established
-// for this tile; the caller then skips caching the tile.
-func cohStaticRects(f *analysis.Footprint, static []bool, p *Program, uniforms [][4]float32, setups []raster.Triangle, tile *tileBin, samplers []*Texture, rects []cohRect) bool {
+// cohTileRects evaluates the proven footprint of every slot for one tile.
+// ok=false when any slot's bounds cannot be established for this tile;
+// the caller then skips caching the tile.
+func cohTileRects(f *analysis.Footprint, p *Program, uniforms [][4]float32, setups []raster.Triangle, tile *tileBin, samplers []*Texture, rects []cohRect) bool {
 	inBounds := func(reg, comp int) (float32, float32, bool) {
 		if reg == p.fragCoordReg {
 			switch comp {
@@ -128,12 +118,9 @@ func cohStaticRects(f *analysis.Footprint, static []bool, p *Program, uniforms [
 		// at zero by draw setup.
 		return 0, 0, true
 	}
-	for si := range static {
-		if !static[si] {
-			continue
-		}
+	for si := range rects {
 		rects[si] = cohRect{x0: 1, y0: 1, x1: 0, y1: 0}
-		if si >= len(f.Slots) || len(f.Slots[si].Coords) == 0 || !texComplete(samplers[si]) {
+		if len(f.Slots[si].Coords) == 0 || !texComplete(samplers[si]) {
 			continue // provably fetches no texels
 		}
 		t := samplers[si]

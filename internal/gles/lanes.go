@@ -86,7 +86,7 @@ type laneShader struct {
 	startCycles, startTex int64
 
 	// onWrite, when set, observes every scattered (non-discarded) pixel
-	// write; the coherent engine uses it to set per-tile cover bits at
+	// write; the coherence recorder uses it to set per-tile cover bits at
 	// scatter time so discarded lanes leave their pixels uncovered.
 	onWrite func(px, py int32)
 }

@@ -1,7 +1,7 @@
 package gles
 
 // Host-parallel fragment shading: the worker count and pool the tiled
-// fast path (tiled.go, coherence.go) spreads a draw's tiles over.
+// fast path (tiled.go) spreads a draw's tiles over.
 //
 // The simulator's virtual-time model is unaffected by how fast the host
 // computes a draw, so the fragment stage — by far the dominant host cost —

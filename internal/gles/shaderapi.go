@@ -141,6 +141,17 @@ func (c *Context) GetShaderInfoLog(name uint32) string {
 	return ""
 }
 
+// ShaderCompileError returns the error whose text GetShaderInfoLog
+// reports, so callers can match it with errors.As (a *shader.LimitError
+// for an exceeded implementation limit). nil when the shader compiled or
+// does not exist.
+func (c *Context) ShaderCompileError(name uint32) error {
+	if s, ok := c.shaders[name]; ok {
+		return s.compileErr
+	}
+	return nil
+}
+
 // DeleteShader removes a shader object.
 func (c *Context) DeleteShader(name uint32) {
 	c.apiCost()

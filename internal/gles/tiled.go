@@ -132,18 +132,19 @@ func binTiles(setups []raster.Triangle) []tileBin {
 }
 
 // shadeTriangles is the fast path for triangle draws whose fragment
-// program has a lane form (lf, see laneFormFor): coherent tiles when the
-// draw is eligible for cross-iteration elision (coherence.go), otherwise
-// every binned tile shaded in lane batches on min(workers, tiles)
-// goroutines — one, inline on the draw goroutine, below
-// parallelMinFragments estimated fragments.
+// program has a lane form (lf, see laneFormFor). It bins the draw once and
+// shades every tile in lane batches on min(workers, tiles) goroutines —
+// one, inline on the draw goroutine, below parallelMinFragments estimated
+// fragments. A draw eligible for cross-iteration elision (coherence.go)
+// first replays its unchanged tiles, then records each tile it shades and
+// commits them to the cache after the join.
 func (c *Context) shadeTriangles(p *Program, lf *laneForm, tgt renderTarget, setups []raster.Triangle, estFrags int64, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) drawStats {
-	if c.coherentEligible(tgt, samplers) {
-		if st, ok := c.shadeTrianglesCoherent(p, lf, tgt, setups, vpX, vpY, samplers); ok {
-			return st
-		}
-	}
 	tiles := binTiles(setups)
+	st := drawStats{valid: true}
+	var rec *cohRecorder
+	if c.coherentEligible(p, tgt, samplers) {
+		rec, tiles = c.cohReplay(p, tgt, setups, tiles, vpX, vpY, samplers, &st)
+	}
 	nw := c.workers
 	if estFrags < parallelMinFragments {
 		nw = 1
@@ -158,7 +159,9 @@ func (c *Context) shadeTriangles(p *Program, lf *laneForm, tgt renderTarget, set
 	worker := func(wi int) {
 		// Batches may span triangles and tiles within this worker's walk;
 		// scatter order equals gather order, so each pixel's shade/blend
-		// sequence matches the per-fragment interpreter loop.
+		// sequence matches the per-fragment interpreter loop. Batches
+		// flush at the edges of a recorded tile so its stat share is its
+		// own.
 		ls := c.newLaneShader(lf, p, tgt, texFns, sample)
 		for {
 			ti := int(atomic.AddInt64(&next, 1)) - 1
@@ -166,6 +169,10 @@ func (c *Context) shadeTriangles(p *Program, lf *laneForm, tgt renderTarget, set
 				break
 			}
 			tile := &tiles[ti]
+			var ct *cohTile
+			if rec != nil {
+				ct = rec.open(ls, ti)
+			}
 			for _, tri := range tile.tris {
 				setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
 					px, py := vpX+x, vpY+y
@@ -174,6 +181,9 @@ func (c *Context) shadeTriangles(p *Program, lf *laneForm, tgt renderTarget, set
 					}
 					ls.add(px, py, fc, varyings)
 				})
+			}
+			if ct != nil {
+				rec.close(ls, ti, ct)
 			}
 		}
 		results[wi] = ls.finish()
@@ -189,11 +199,13 @@ func (c *Context) shadeTriangles(p *Program, lf *laneForm, tgt renderTarget, set
 		c.ensurePool().run(fns)
 	}
 
-	st := drawStats{valid: true}
 	for _, r := range results {
 		st.fragments += r.fragments
 		st.cycles += r.cycles
 		st.texFetches += r.texFetches
+	}
+	if rec != nil {
+		rec.commit()
 	}
 	return st
 }

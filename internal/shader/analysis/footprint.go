@@ -41,8 +41,7 @@ import (
 // one input component, on non-affine arithmetic, or on joins of different
 // definitions are "statically unbounded" (top): the slot reports
 // !Provable with the pc and reason, the unbounded-footprint lint finding
-// surfaces it, and the coherence cache falls back to dynamic footprint
-// tracking for that slot.
+// surfaces it, and draws of the program skip the coherence cache.
 
 // FootK is a draw-time constant chain operand: a compile-time literal or
 // one uniform register component (negated when Neg).

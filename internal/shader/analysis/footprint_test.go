@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gles2gpgpu/internal/glsl"
 	"gles2gpgpu/internal/shader"
 )
 
@@ -170,24 +171,20 @@ void main() {
 	}
 }
 
+// TestFootprintKernelsProvable requires every sampler slot of every
+// fragment kernel in kernelSuite to be provable: the coherence cache
+// elides only draws whose every slot has a proven footprint, so a kernel
+// that loses provability loses elision and fails here.
 func TestFootprintKernelsProvable(t *testing.T) {
-	// The paper kernels all address textures affinely (v_tex, or
-	// const+uniform offsets of it); every slot should be provable so the
-	// coherence cache can skip dynamic tracking for them.
-	p := compileGLSL(t, `
-precision mediump float;
-uniform sampler2D text0;
-uniform sampler2D text1;
-varying vec2 v_tex;
-void main() {
-	vec4 a = texture2D(text0, v_tex);
-	vec4 b = texture2D(text1, v_tex + vec2(0.125, 0.0));
-	gl_FragColor = (a + b) * 0.5;
-}`)
-	f := solveFootprint(t, p)
-	for si := range f.Slots {
-		if !f.Slots[si].Provable {
-			t.Errorf("slot %d unprovable: pc %d: %s", si, f.Slots[si].Pc, f.Slots[si].Reason)
+	for _, k := range kernelSuite(t) {
+		if k.prog.Stage != glsl.StageFragment {
+			continue
+		}
+		f := solveFootprint(t, k.prog)
+		for si := range f.Slots {
+			if !f.Slots[si].Provable {
+				t.Errorf("%s: slot %d unprovable: pc %d: %s", k.name, si, f.Slots[si].Pc, f.Slots[si].Reason)
+			}
 		}
 	}
 }

@@ -73,19 +73,6 @@ func limitChecks(p *shader.Program, res Resources, lim shader.Limits) []struct {
 	}
 }
 
-// CheckLimitsError verifies a program against a profile and returns the
-// first exceedance as a *shader.LimitError, or nil when the program fits.
-// This is the strict link-time check the GLES layer applies when its
-// strict link limits are on.
-func CheckLimitsError(p *shader.Program, res Resources, lp LimitProfile) error {
-	for _, c := range limitChecks(p, res, lp.Limits) {
-		if c.limit > 0 && c.used > c.limit {
-			return &shader.LimitError{What: c.what, Used: c.used, Limit: c.limit}
-		}
-	}
-	return nil
-}
-
 // CheckLimits reports the program's standing against one profile as
 // findings: an error per exceeded limit, and an informational headroom
 // line per satisfied one. The error for the instruction limit points at

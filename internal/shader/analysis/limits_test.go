@@ -1,12 +1,10 @@
 package analysis
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"gles2gpgpu/internal/kernels"
-	"gles2gpgpu/internal/shader"
 )
 
 // TestSgemmCompileCliff reproduces Fig. 4b's compile cliff statically:
@@ -28,39 +26,24 @@ func TestSgemmCompileCliff(t *testing.T) {
 		p := compileGLSL(t, src)
 		res := CountResources(BuildCFG(p))
 		for _, lp := range profiles {
-			err := CheckLimitsError(p, res, lp)
+			exceeded := findByCode(CheckLimits(p, res, lp), "limit-exceeded")
 			if block <= 16 {
-				if err != nil {
-					t.Errorf("block %d on %s: unexpected rejection: %v", block, lp.Name, err)
+				if len(exceeded) != 0 {
+					t.Errorf("block %d on %s: unexpected rejection: %v", block, lp.Name, exceeded)
 				}
 				continue
 			}
-			if err == nil {
+			if len(exceeded) == 0 {
 				t.Errorf("block %d on %s: should exceed limits", block, lp.Name)
 				continue
 			}
-			var le *shader.LimitError
-			if !errors.As(err, &le) {
-				t.Errorf("block %d on %s: error type %T, want *shader.LimitError", block, lp.Name, err)
-				continue
+			f := exceeded[0]
+			if f.Sev != SevError || !strings.Contains(f.Msg, "instructions") {
+				t.Errorf("block %d on %s: diagnostic %q, want the instruction count first as an error",
+					block, lp.Name, f.Msg)
 			}
-			if le.What != "instructions" {
-				t.Errorf("block %d on %s: diagnostic %q, want the instruction count first",
-					block, lp.Name, le.What)
-			}
-			// The findings form carries the same diagnostic as an error.
-			var found bool
-			for _, f := range CheckLimits(p, res, lp) {
-				if f.Code == "limit-exceeded" && f.Sev == SevError &&
-					strings.Contains(f.Msg, "instructions") {
-					found = true
-					if f.Pos.Line == 0 {
-						t.Errorf("block %d on %s: instruction-limit finding has no source position", block, lp.Name)
-					}
-				}
-			}
-			if !found {
-				t.Errorf("block %d on %s: no limit-exceeded finding", block, lp.Name)
+			if f.Pos.Line == 0 {
+				t.Errorf("block %d on %s: instruction-limit finding has no source position", block, lp.Name)
 			}
 		}
 	}
@@ -118,12 +101,11 @@ void main() {
 			sgx = lp
 		}
 	}
-	err := CheckLimitsError(p, res, vc4)
-	var le *shader.LimitError
-	if !errors.As(err, &le) || le.What != "dependent texture reads" {
-		t.Errorf("VideoCore: err = %v, want dependent-texture-read rejection", err)
+	vc4Exceeded := findByCode(CheckLimits(p, res, vc4), "limit-exceeded")
+	if len(vc4Exceeded) != 1 || !strings.Contains(vc4Exceeded[0].Msg, "dependent texture reads") {
+		t.Errorf("VideoCore: %v, want one dependent-texture-read rejection", vc4Exceeded)
 	}
-	if err := CheckLimitsError(p, res, sgx); err != nil {
-		t.Errorf("SGX (depth limit 8): unexpected rejection: %v", err)
+	if fs := findByCode(CheckLimits(p, res, sgx), "limit-exceeded"); len(fs) != 0 {
+		t.Errorf("SGX (depth limit 8): unexpected rejection: %v", fs)
 	}
 }

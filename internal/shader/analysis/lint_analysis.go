@@ -118,9 +118,9 @@ func lintDeadClamps(p *shader.Program, r *Ranges, sccp *SCCP) []Finding {
 }
 
 // lintFootprints flags sampler slots whose texel footprint the analysis
-// cannot bound statically, with the defeating fetch and reason. Those
-// slots keep per-fetch dynamic tracking in the coherence cache instead of
-// the up-front proven rectangle.
+// cannot bound statically, with the defeating fetch and reason. The
+// coherence cache needs every slot's proven rectangle, so draws of such a
+// program skip it.
 func lintFootprints(p *shader.Program, f *Footprint) []Finding {
 	var fs []Finding
 	for si := range f.Slots {
@@ -132,7 +132,7 @@ func lintFootprints(p *shader.Program, f *Footprint) []Finding {
 			Code: "unbounded-footprint",
 			Sev:  SevInfo,
 			Msg: fmt.Sprintf("sampler slot %d has a statically unbounded footprint (%s); "+
-				"the coherence cache falls back to per-fetch tracking for it", si, s.Reason),
+				"draws of this program skip the coherence cache", si, s.Reason),
 		}
 		if s.Pc >= 0 && s.Pc < len(p.Insts) {
 			fd.Pos = p.Insts[s.Pc].SrcPos

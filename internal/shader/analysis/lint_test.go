@@ -365,6 +365,9 @@ void main() {
 	if !strings.Contains(fs[0].Msg, "slot 0") {
 		t.Errorf("finding should name the slot: %q", fs[0].Msg)
 	}
+	if !strings.Contains(fs[0].Msg, "skip the coherence cache") {
+		t.Errorf("finding should say the program's draws skip the coherence cache: %q", fs[0].Msg)
+	}
 }
 
 func TestLintBoundedFootprintSilent(t *testing.T) {
